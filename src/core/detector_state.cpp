@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -127,30 +128,6 @@ osn::RequestLedger read_ledger(ByteReader& r) {
   return osn::RequestLedger::from_raw(raw);
 }
 
-/// Grants access to a std::priority_queue's protected container so the
-/// exact heap array can be saved and restored — a restored queue pops
-/// in the same order as the original, bit for bit (the osn simulator
-/// checkpoint uses the same trick).
-template <typename Q>
-const typename Q::container_type& queue_container(const Q& q) {
-  struct Access : Q {
-    static const typename Q::container_type& get(const Q& queue) {
-      return queue.*&Access::c;
-    }
-  };
-  return Access::get(q);
-}
-
-template <typename Q>
-typename Q::container_type& queue_container_mut(Q& q) {
-  struct Access : Q {
-    static typename Q::container_type& get(Q& queue) {
-      return queue.*&Access::c;
-    }
-  };
-  return Access::get(q);
-}
-
 }  // namespace
 
 /// The one friend of StreamDetector / RealTimeDetector /
@@ -187,10 +164,14 @@ struct DetectorStateAccess {
     }
     w.write(static_cast<std::uint64_t>(d.flagged_total_));
 
-    const auto& reorder = queue_container(d.reorder_);
+    // Ascending (time, seq): the bytes depend only on what is buffered,
+    // not on how it arrived. A sorted array is also a valid min-heap, so
+    // readers that load this section as an exact heap array still pop
+    // it in the same order.
+    const std::vector<ReorderBuffer::Entry> reorder = d.reorder_.sorted();
     w.write(static_cast<std::uint64_t>(reorder.size()));
-    for (const StreamDetector::Buffered& b : reorder) {
-      w.write(b.event.time);  // the entry's sort time (see Buffered)
+    for (const ReorderBuffer::Entry& b : reorder) {
+      w.write(b.event.time);  // the entry's sort time
       w.write(b.seq);
       write_event(w, b.event);
     }
@@ -262,19 +243,21 @@ struct DetectorStateAccess {
     }
     d.flagged_total_ = static_cast<std::size_t>(r.read<std::uint64_t>());
 
-    auto& reorder = queue_container_mut(d.reorder_);
+    // Entries may come in any order (older writers saved the raw heap
+    // array); assign() sorts them.
     const std::uint64_t n_buffered = read_count(r, "reorder-buffer");
-    reorder.resize(n_buffered);
+    std::vector<ReorderBuffer::Entry> reorder(n_buffered);
     for (auto& b : reorder) {
       const graph::Time time = r.read<graph::Time>();
       b.seq = r.read<std::uint64_t>();
       b.event = read_event(r);
-      if (time != b.event.time) {
+      if (time != b.event.time || !std::isfinite(time)) {
         throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                            "reorder-buffer entry time disagrees with its "
-                            "event time");
+                            "reorder-buffer entry time is not finite or "
+                            "disagrees with its event time");
       }
     }
+    d.reorder_.assign(std::move(reorder));
 
     d.seen_seqs_.clear();
     const std::uint64_t n_seqs = read_count(r, "seen-seq");

@@ -3,7 +3,7 @@
 //
 // serialize_*/restore_* capture the COMPLETE private state of a
 // StreamDetector / RealTimeDetector — ledgers, watcher index, reorder
-// buffer (exact heap array, so resumed releases pop in the same order),
+// buffer (written in ascending (time, seq) order, read in any order),
 // dedup sets, accounting counters, adaptive-tuner reservoirs and RNG
 // stream — such that a restored detector is byte-identical to one that
 // never stopped: same verdicts, same feature snapshots, same counters,

@@ -299,23 +299,29 @@ void StreamDetector::quarantine(const osn::Event& e, std::uint64_t seq,
   }
 }
 
+void StreamDetector::release_through(graph::Time bound) {
+  const std::uint64_t before = applied_total_;
+  while (!reorder_.empty() && reorder_.top().event.time <= bound) {
+    const ReorderBuffer::Entry b = reorder_.top();
+    reorder_.pop();
+    released_.emplace_back(b.event.time, b.seq);
+    ++applied_total_;
+    dispatch(b.event);
+  }
+  if (applied_total_ != before) {
+    SYBIL_METRIC_COUNT("stream.ingest.applied", applied_total_ - before);
+  }
+}
+
 void StreamDetector::release_ready() {
   const graph::Time low = high_watermark_ - options_.ingest.watermark_hours;
-  while (!reorder_.empty() && reorder_.top().event.time <= low) {
-    const std::uint64_t seq = reorder_.top().seq;
-    const osn::Event e = reorder_.top().event;
-    reorder_.pop();
-    released_.emplace_back(e.time, seq);
-    ++applied_total_;
-    SYBIL_METRIC_COUNT("stream.ingest.applied", 1);
-    dispatch(e);
-  }
+  release_through(low);
   // Prune duplicate-detection state that the watermark has passed: a
   // redelivery of a pruned seq necessarily carries an event time below
   // the low watermark and is quarantined as kTimeRegression before the
-  // dedup check can matter. Releases come out of the heap in ascending
-  // (time, seq) order, so released_ is sorted and the prunable prefix
-  // sits at its front.
+  // dedup check can matter. Releases leave the reorder buffer in
+  // ascending (time, seq) order, so released_ is sorted and the
+  // prunable prefix sits at its front.
   while (!released_.empty() && released_.front().first < low) {
     seen_seqs_.erase(released_.front().second);
     released_.pop_front();
@@ -346,22 +352,13 @@ void StreamDetector::ingest(const osn::Event& e, std::uint64_t seq) {
     quarantine(e, seq, StreamErrorCode::kTimeRegression);
     return;
   }
-  reorder_.push(Buffered{seq, e});
+  reorder_.push(ReorderBuffer::Entry{seq, e});
   if (e.time > high_watermark_) high_watermark_ = e.time;
   release_ready();
-  SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", reorder_.size());
 }
 
 void StreamDetector::finish() {
-  while (!reorder_.empty()) {
-    const std::uint64_t seq = reorder_.top().seq;
-    const osn::Event e = reorder_.top().event;
-    reorder_.pop();
-    released_.emplace_back(e.time, seq);
-    ++applied_total_;
-    SYBIL_METRIC_COUNT("stream.ingest.applied", 1);
-    dispatch(e);
-  }
+  release_through(std::numeric_limits<graph::Time>::infinity());
   SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", 0);
 }
 

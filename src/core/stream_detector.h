@@ -42,13 +42,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "core/detector.h"
 #include "core/detector_options.h"
 #include "core/features.h"
 #include "core/flat_set.h"
+#include "core/reorder_buffer.h"
 #include "core/stream_error.h"
 #include "core/threshold_detector.h"
 #include "osn/events.h"
@@ -119,6 +119,7 @@ class StreamDetector {
     return deadletter_total_;
   }
   std::uint64_t buffered() const noexcept { return reorder_.size(); }
+  const ReorderBuffer& reorder_buffer() const noexcept { return reorder_; }
 
   /// Exact dead-letter count for one rejection reason; the sum over all
   /// reasons equals deadletter_total(). Unlike the dead-letter queue
@@ -177,20 +178,6 @@ class StreamDetector {
     bool banned = false;
   };
 
-  /// Reorder-buffer entry, released in (time, seq) order so replays of
-  /// the same event multiset apply identically whatever the arrival
-  /// interleaving (the chaos-equivalence invariant). The sort time is
-  /// the event's own time — not duplicated here, the entry is copied
-  /// around by every heap sift.
-  struct Buffered {
-    std::uint64_t seq;
-    osn::Event event;
-    bool operator>(const Buffered& other) const noexcept {
-      if (event.time != other.event.time) return event.time > other.event.time;
-      return seq > other.seq;
-    }
-  };
-
   void ensure(osn::NodeId id);
   void add_edge(osn::NodeId u, osn::NodeId v, graph::Time t);
   /// Registers v as a (possibly) watched friend of u and updates u's
@@ -207,8 +194,12 @@ class StreamDetector {
   /// throws StreamError afterwards under the strict policy.
   void quarantine(const osn::Event& e, std::uint64_t seq,
                   StreamErrorCode reason);
-  /// Applies every buffered event at or below the low watermark.
+  /// Applies every buffered event at or below the low watermark, then
+  /// prunes the duplicate-detection state the watermark has passed.
   void release_ready();
+  /// Applies every buffered event with time <= `bound`, in (time, seq)
+  /// order.
+  void release_through(graph::Time bound);
 
   DetectorOptions options_;
   ThresholdDetector detector_;
@@ -223,8 +214,10 @@ class StreamDetector {
   std::size_t flagged_total_ = 0;
 
   // ---- hardened-path state ----
-  std::priority_queue<Buffered, std::vector<Buffered>, std::greater<>>
-      reorder_;
+  /// Accepted events awaiting the watermark, released in (time, seq)
+  /// order so replays of the same event multiset apply identically
+  /// whatever the arrival interleaving (the chaos-equivalence invariant).
+  ReorderBuffer reorder_;
   /// Seqs accepted within the reorder horizon (duplicate detection);
   /// pruned as the low watermark advances past their event time.
   SeqBitSet seen_seqs_;

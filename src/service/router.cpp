@@ -262,57 +262,38 @@ RouteResult ShardRouter::offer_batch(std::span<const osn::Event> events,
   return result;
 }
 
-std::size_t ShardRouter::pump(std::size_t max_per_shard) {
-  if (shards_.size() == 1 && shards_[0]) return shards_[0]->pump(max_per_shard);
+std::size_t ShardRouter::in_lanes(
+    const std::function<std::size_t(ServiceSupervisor&)>& work) {
+  if (shards_.size() == 1) return shards_[0] ? work(*shards_[0]) : 0;
   // One fixed lane (chunk) per shard: disjoint supervisor state, no
-  // durability boundaries crossed, atomic metrics — so the drain is
+  // durability boundaries crossed, atomic metrics — so the result is
   // identical to the serial loop for any SYBIL_THREADS.
-  std::vector<std::size_t> pumped(shards_.size(), 0);
+  std::vector<std::size_t> done(shards_.size(), 0);
   core::parallel_for(
       shards_.size(),
       [&](const core::ChunkRange& c) {
         for (std::size_t i = c.begin; i < c.end; ++i) {
-          if (shards_[i]) pumped[i] = shards_[i]->pump(max_per_shard);
+          if (shards_[i]) done[i] = work(*shards_[i]);
         }
       },
       /*grain=*/1);
   std::size_t n = 0;
-  for (std::size_t p : pumped) n += p;
+  for (std::size_t d : done) n += d;
   return n;
+}
+
+std::size_t ShardRouter::pump(std::size_t max_per_shard) {
+  return in_lanes(
+      [&](ServiceSupervisor& s) { return s.pump(max_per_shard); });
 }
 
 std::size_t ShardRouter::pump_through(std::uint64_t seq_bound) {
-  if (shards_.size() == 1 && shards_[0]) {
-    return shards_[0]->pump_through(seq_bound);
-  }
-  std::vector<std::size_t> pumped(shards_.size(), 0);
-  core::parallel_for(
-      shards_.size(),
-      [&](const core::ChunkRange& c) {
-        for (std::size_t i = c.begin; i < c.end; ++i) {
-          if (shards_[i]) pumped[i] = shards_[i]->pump_through(seq_bound);
-        }
-      },
-      /*grain=*/1);
-  std::size_t n = 0;
-  for (std::size_t p : pumped) n += p;
-  return n;
+  return in_lanes(
+      [&](ServiceSupervisor& s) { return s.pump_through(seq_bound); });
 }
 
 std::size_t ShardRouter::sweep_flags(graph::Time now) {
-  if (shards_.size() == 1 && shards_[0]) return shards_[0]->sweep_flags(now);
-  std::vector<std::size_t> flagged(shards_.size(), 0);
-  core::parallel_for(
-      shards_.size(),
-      [&](const core::ChunkRange& c) {
-        for (std::size_t i = c.begin; i < c.end; ++i) {
-          if (shards_[i]) flagged[i] = shards_[i]->sweep_flags(now);
-        }
-      },
-      /*grain=*/1);
-  std::size_t n = 0;
-  for (std::size_t f : flagged) n += f;
-  return n;
+  return in_lanes([&](ServiceSupervisor& s) { return s.sweep_flags(now); });
 }
 
 void ShardRouter::checkpoint_now() {
@@ -322,6 +303,12 @@ void ShardRouter::checkpoint_now() {
 }
 
 void ShardRouter::flush(bool checkpoint) {
+  // The drain (pump + reorder-buffer release) crosses no durability
+  // boundary, so it runs in the shard lanes. Storage retries and
+  // checkpoints then run serially in ascending shard order, which keeps
+  // the crash-point sequence deterministic; each flush() re-drains an
+  // already empty shard for free.
+  in_lanes([](ServiceSupervisor& s) { return s.drain(); });
   for (auto& s : shards_) {
     if (s) s->flush(checkpoint);
   }

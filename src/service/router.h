@@ -186,7 +186,9 @@ class ShardRouter {
   /// Checkpoints every shard at its current WAL position.
   void checkpoint_now();
 
-  /// Pumps and finishes every shard; checkpoints unless told not to.
+  /// Drains every shard (pump + reorder-buffer release, parallel per
+  /// shard like pump), then retries degraded storage and checkpoints
+  /// each shard serially in ascending order, unless told not to.
   void flush(bool checkpoint = true);
 
   /// Owner-filtered, canonically merged flags: each shard's drained
@@ -268,6 +270,11 @@ class ShardRouter {
 
  private:
   ServiceOptions shard_options(std::uint32_t i) const;
+  /// Runs `work` on every live shard, one fixed parallel lane per shard
+  /// (inline for a single shard), and returns the summed results. Only
+  /// for work that crosses no durability boundary.
+  std::size_t in_lanes(
+      const std::function<std::size_t(ServiceSupervisor&)>& work);
   void deliver(std::uint32_t i, const osn::Event& e, std::uint64_t seq,
                RouteResult& result);
   void route_one(const osn::Event& e, std::uint64_t seq,

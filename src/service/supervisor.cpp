@@ -106,6 +106,7 @@ struct ServiceSupervisor::Metrics {
   Count storage_retry_failures;
   Count storage_checkpoints_suspended;
   Level storage_buffered;
+  Level reorder_buffered;
   Level queue_depth;
   Level tier;
 
@@ -154,6 +155,7 @@ struct ServiceSupervisor::Metrics {
     storage_retry_failures = count("storage.retry_failures");
     storage_checkpoints_suspended = count("storage.checkpoints_suspended");
     storage_buffered = level("storage.buffered");
+    reorder_buffered = level("reorder.buffered");
     queue_depth = level("queue.depth");
     tier = level("tier");
   }
@@ -510,8 +512,20 @@ std::uint64_t ServiceSupervisor::commit_offer_batch() {
 
 std::size_t ServiceSupervisor::pump(std::size_t max_events) {
   require_started("pump");
+  return pump_queue(max_events, ~std::uint64_t{0});
+}
+
+std::size_t ServiceSupervisor::pump_through(std::uint64_t seq_bound) {
+  require_started("pump_through");
+  // Auto-seq records (>= kExplicitSeqLimit) stop the drain too.
+  return pump_queue(0, std::min(seq_bound, kExplicitSeqLimit - 1));
+}
+
+std::size_t ServiceSupervisor::pump_queue(std::size_t max_events,
+                                          std::uint64_t seq_bound) {
   std::size_t n = 0;
-  while (!queue_.empty() && (max_events == 0 || n < max_events)) {
+  while (!queue_.empty() && (max_events == 0 || n < max_events) &&
+         queue_.front().seq <= seq_bound) {
     const WalRecord r = queue_.front();
     queue_.pop_front();
     ++pumped_;
@@ -524,19 +538,9 @@ std::size_t ServiceSupervisor::pump(std::size_t max_events) {
   return n;
 }
 
-std::size_t ServiceSupervisor::pump_through(std::uint64_t seq_bound) {
-  require_started("pump_through");
-  std::size_t n = 0;
-  while (!queue_.empty() && queue_.front().seq < kExplicitSeqLimit &&
-         queue_.front().seq <= seq_bound) {
-    const WalRecord r = queue_.front();
-    queue_.pop_front();
-    ++pumped_;
-    ++n;
-    detector_.ingest(r.event, r.seq);
-    if (scorer_ != nullptr) scorer_->observe(r.event);
-  }
-  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
+std::size_t ServiceSupervisor::drain() {
+  const std::size_t n = pump(0);
+  detector_.finish();
   publish_metrics();
   return n;
 }
@@ -570,6 +574,8 @@ core::FlagBatch ServiceSupervisor::take_flagged() {
 void ServiceSupervisor::publish_metrics() {
 #if SYBIL_METRICS_COMPILED
   if (metrics_ == nullptr) return;
+  metrics_->reorder_buffered.set(static_cast<double>(detector_.buffered()));
+  SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", detector_.buffered());
   std::uint64_t total_delta = 0;
   for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
     const std::uint64_t now =
@@ -667,9 +673,7 @@ void ServiceSupervisor::checkpoint_now() {
 
 void ServiceSupervisor::flush(bool checkpoint) {
   require_started("flush");
-  pump(0);
-  detector_.finish();
-  publish_metrics();
+  drain();
   // End-of-stream is the loud boundary: a flush cannot leave records
   // buffered behind a degraded disk, so it forces one retry and throws
   // the original fault kind if the disk still refuses.

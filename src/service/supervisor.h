@@ -232,16 +232,23 @@ class ServiceSupervisor {
   /// prunes old generations / covered WAL segments.
   void checkpoint_now();
 
-  /// End of stream: pump everything, drain the detector's reorder
-  /// buffer, checkpoint (skippable for huge throwaway runs where
+  /// Pumps everything queued and drains the detector's reorder buffer
+  /// (StreamDetector::finish). Crosses no durability boundary, like
+  /// pump() — which is what lets a ShardRouter run it in parallel
+  /// lanes. Returns how many were pumped.
+  std::size_t drain();
+
+  /// End of stream: drain(), then force a storage retry if degraded,
+  /// then checkpoint (skippable for huge throwaway runs where
   /// serializing multi-GB detector state buys nothing). After flush()
   /// the service can keep ingesting.
   void flush(bool checkpoint = true);
 
-  /// Publishes detector-owned operational counters (per-reason dead
-  /// letters) into the metric registry under this shard's namespace,
-  /// as deltas since the last publish. Called from pump()/flush();
-  /// exposed so tests and ops loops can force a publish point.
+  /// Publishes detector-owned operational metrics (per-reason dead
+  /// letters, reorder-buffer depth) into the metric registry under this
+  /// shard's namespace, counters as deltas since the last publish.
+  /// Called once per pump()/pump_through()/drain(); exposed so tests
+  /// and ops loops can force a publish point.
   void publish_metrics();
 
   /// Drains the detector's newly flagged accounts. When the defense
@@ -334,6 +341,10 @@ class ServiceSupervisor {
   struct Metrics;  // per-instance handles; see supervisor.cpp
 
   void require_started(const char* what) const;
+  /// The one pump loop: drains queued records while fewer than
+  /// `max_events` (0 = no cap) were pumped and the head's seq is
+  /// <= `seq_bound`, then publishes metrics.
+  std::size_t pump_queue(std::size_t max_events, std::uint64_t seq_bound);
   void reset_state();
   void update_tier();
   void maybe_checkpoint();

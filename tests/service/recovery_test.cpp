@@ -21,10 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "core/detector_state.h"
 #include "core/parallel.h"
 #include "faults/process_faults.h"
 #include "osn/network.h"
 #include "service/supervisor.h"
+#include "service/workload.h"
 #include "stats/rng.h"
 
 namespace sybil::service {
@@ -251,6 +253,72 @@ TEST_F(ServiceRecovery, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(eight.stats, base.stats);
   expect_flags_equal(one.flags, base.flags);
   expect_flags_equal(eight.flags, base.flags);
+}
+
+/// A checkpoint taken while the reorder buffer holds both an in-order
+/// run and out-of-order stragglers restores into a detector that
+/// releases the same events in the same order: after a restart and the
+/// rest of the stream, flags, stats_json and the detector's exact state
+/// match the run that never stopped.
+TEST_F(ServiceRecovery, CheckpointWithRunAndStragglersResumesIdentically) {
+  WorkloadOptions w;
+  w.accounts = 300;
+  w.events = 3000;
+  w.hours = 30.0;
+  w.seed = 5;
+  w.burst_senders = 3;
+  std::vector<osn::Event> log = synthetic_workload(w);
+  for (std::size_t i = 0; i < log.size(); i += 7) {
+    log[i].time = std::max(0.0, log[i].time - 1.0);  // 1 h late
+  }
+  constexpr std::size_t kCut = 1500;
+
+  struct Outcome {
+    RunResult run;
+    std::vector<std::byte> state;  // the detector's exact state
+  };
+  const auto run = [&](const std::string& dir, bool restart) {
+    ServiceOptions o;
+    o.dir = dir;
+    o.wal_fsync = WalFsync::kNever;
+    o.checkpoint_every = 0;
+    o.detector.ingest.watermark_hours = 6.0;  // releases start mid-stream
+    o.detector.rule.invite_rate_min = 4.0;
+    o.detector.rule.outgoing_accept_max = 0.5;
+    o.detector.rule.min_requests = 5;
+    auto s = std::make_unique<ServiceSupervisor>(o);
+    s->start();
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (i == kCut) {
+        s->pump();
+        const core::ReorderBuffer& held = s->detector().reorder_buffer();
+        EXPECT_GT(held.stragglers(), 0u) << "the heap must hold stragglers";
+        EXPECT_LT(held.stragglers(), held.size()) << "and the run entries";
+        s->checkpoint_now();
+        if (restart) {
+          s = std::make_unique<ServiceSupervisor>(o);
+          const RecoveryReport report = s->start();
+          EXPECT_FALSE(report.cold_start);
+          EXPECT_EQ(report.records_replayed, 0u);
+        }
+      }
+      s->offer(log[i], i);
+      if (i % 16 == 15) s->pump();
+    }
+    s->flush();
+    Outcome out;
+    out.run.stats = s->stats_json();
+    out.run.flags = s->take_flagged();
+    out.state = core::serialize_stream_state(s->detector());
+    return out;
+  };
+  const Outcome base = run(fresh_dir("stragglers_base"), false);
+  const Outcome resumed = run(fresh_dir("stragglers_resumed"), true);
+  ASSERT_FALSE(base.run.flags.records.empty())
+      << "the run must actually flag accounts for the comparison to bite";
+  EXPECT_EQ(resumed.run.stats, base.run.stats);
+  expect_flags_equal(resumed.run.flags, base.run.flags);
+  EXPECT_TRUE(resumed.state == base.state) << "detector state diverged";
 }
 
 TEST_F(ServiceRecovery, CorruptNewestCheckpointFallsBackAGeneration) {

@@ -22,12 +22,14 @@
 //     under service.shard.<i>.* sum exactly into the service.* twins.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/metrics/metrics.h"
@@ -308,6 +310,49 @@ TEST_F(Shard, MergedFlagsMatchSingleShardAcrossThreadCounts) {
     EXPECT_TRUE(accounts.insert(r.account).second)
         << "account " << r.account << " flagged on two shards";
   }
+}
+
+/// flush() drains the shards in parallel lanes, then retries storage
+/// and checkpoints serially: a fleet-wide hook sees the same (shard,
+/// point) sequence at SYBIL_THREADS=1 and 8, in ascending shard order.
+/// The hook appends to a plain vector, so the tsan preset would report
+/// any boundary crossed from a lane.
+TEST_F(Shard, FlushCrossesTheSameBoundariesAcrossThreadCounts) {
+  const std::vector<osn::Event> log = synthetic_workload(small_workload(21));
+  using Crossing = std::pair<std::uint32_t, CrashPoint>;
+  const auto flush_crossings = [&](std::size_t threads,
+                                   const std::string& dir) {
+    core::set_thread_count(threads);
+    std::vector<Crossing> seen;
+    bool in_flush = false;
+    ShardRouter router(make_router_options(
+        dir, 4, [&](std::uint32_t shard, CrashPoint p) {
+          if (in_flush) seen.emplace_back(shard, p);
+        }));
+    router.start();
+    for (std::uint64_t i = 0; i < log.size(); ++i) router.offer(log[i], i);
+    // Queues full and the 6 h stream inside the 48 h watermark: the
+    // lanes have everything left to pump and release.
+    EXPECT_GT(router.shard(0).queue_depth(), 0u);
+    in_flush = true;
+    router.flush(/*checkpoint=*/true);
+    in_flush = false;
+    for (std::uint32_t i = 0; i < router.shards(); ++i) {
+      EXPECT_EQ(router.shard(i).queue_depth(), 0u);
+      EXPECT_EQ(router.shard(i).detector().buffered(), 0u);
+    }
+    EXPECT_TRUE(router.accounting_ok());
+    core::set_thread_count(0);  // back to automatic
+    return seen;
+  };
+  const std::vector<Crossing> one = flush_crossings(1, fresh_dir("flush_t1"));
+  const std::vector<Crossing> eight =
+      flush_crossings(8, fresh_dir("flush_t8"));
+  ASSERT_FALSE(one.empty());
+  EXPECT_EQ(one, eight);
+  EXPECT_TRUE(std::is_sorted(
+      one.begin(), one.end(),
+      [](const Crossing& a, const Crossing& b) { return a.first < b.first; }));
 }
 
 TEST_F(Shard, OneOverloadedShardShedsAlone) {
