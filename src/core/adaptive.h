@@ -52,11 +52,6 @@ class AdaptiveThresholdTuner {
   std::size_t sybil_observations() const noexcept { return sybil_seen_; }
 
  private:
-  /// Checkpoint codec (core/detector_state.h): reservoirs, RNG stream
-  /// and smoothed rule must survive recovery for retunes to continue
-  /// exactly where they left off.
-  friend struct DetectorStateAccess;
-
   struct Reservoir {
     std::vector<double> invite_rate;
     std::vector<double> out_accept;

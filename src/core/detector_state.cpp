@@ -1,12 +1,10 @@
 #include "core/detector_state.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
 
-#include "core/realtime_detector.h"
 #include "core/stream_detector.h"
 #include "io/container.h"
 #include "io/error.h"
@@ -83,22 +81,6 @@ SybilFeatures read_features(ByteReader& r) {
   return f;
 }
 
-void write_rule(ByteWriter& w, const ThresholdRule& rule) {
-  w.write(rule.outgoing_accept_max);
-  w.write(rule.invite_rate_min);
-  w.write(rule.clustering_max);
-  w.write(rule.min_requests);
-}
-
-ThresholdRule read_rule(ByteReader& r) {
-  ThresholdRule rule;
-  rule.outgoing_accept_max = r.read<double>();
-  rule.invite_rate_min = r.read<double>();
-  rule.clustering_max = r.read<double>();
-  rule.min_requests = r.read<std::uint32_t>();
-  return rule;
-}
-
 void write_ledger(ByteWriter& w, const osn::RequestLedger& ledger) {
   const osn::RequestLedger::Raw raw = ledger.raw();
   w.write(raw.sent);
@@ -130,8 +112,8 @@ osn::RequestLedger read_ledger(ByteReader& r) {
 
 }  // namespace
 
-/// The one friend of StreamDetector / RealTimeDetector /
-/// AdaptiveThresholdTuner: all member access happens in these statics.
+/// The one friend of StreamDetector: all member access happens in these
+/// statics.
 struct DetectorStateAccess {
   static std::vector<std::byte> save_stream(const StreamDetector& d) {
     ByteWriter w;
@@ -304,82 +286,6 @@ struct DetectorStateAccess {
                           "trailing bytes after stream detector state");
     }
   }
-
-  static std::vector<std::byte> save_realtime(const RealTimeDetector& d) {
-    ByteWriter w;
-    w.write(kDetectorStateVersion);
-    write_rule(w, d.detector_.rule());
-
-    std::vector<osn::NodeId> flagged(d.flagged_.begin(), d.flagged_.end());
-    std::sort(flagged.begin(), flagged.end());
-    w.write(static_cast<std::uint64_t>(flagged.size()));
-    for (osn::NodeId id : flagged) w.write(id);
-
-    w.write(static_cast<std::uint64_t>(d.carryover_.size()));
-    for (osn::NodeId id : d.carryover_) w.write(id);
-    w.write(static_cast<std::uint64_t>(d.confirmations_));
-
-    const AdaptiveThresholdTuner& t = d.tuner_;
-    write_rule(w, t.rule_);
-    for (std::uint64_t word : t.rng_.state()) w.write(word);
-    const auto write_reservoir =
-        [&](const AdaptiveThresholdTuner::Reservoir& res) {
-          for (const std::vector<double>* v :
-               {&res.invite_rate, &res.out_accept, &res.clustering}) {
-            w.write(static_cast<std::uint64_t>(v->size()));
-            for (double x : *v) w.write(x);
-          }
-        };
-    write_reservoir(t.normal_);
-    write_reservoir(t.sybil_);
-    w.write(static_cast<std::uint64_t>(t.normal_seen_));
-    w.write(static_cast<std::uint64_t>(t.sybil_seen_));
-    return std::move(w).take();
-  }
-
-  static void load_realtime(RealTimeDetector& d,
-                            std::span<const std::byte> blob) {
-    ByteReader r(blob);
-    check_version(r.read<std::uint32_t>(), "realtime detector");
-    d.detector_.set_rule(read_rule(r));
-
-    d.flagged_.clear();
-    const std::uint64_t n_flagged = read_count(r, "flagged");
-    d.flagged_.reserve(n_flagged);
-    for (std::uint64_t i = 0; i < n_flagged; ++i) {
-      d.flagged_.insert(r.read<osn::NodeId>());
-    }
-    const std::uint64_t n_carry = read_count(r, "carryover");
-    d.carryover_.resize(n_carry);
-    d.carryover_set_.clear();
-    for (auto& id : d.carryover_) {
-      id = r.read<osn::NodeId>();
-      d.carryover_set_.insert(id);
-    }
-    d.confirmations_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-
-    AdaptiveThresholdTuner& t = d.tuner_;
-    t.rule_ = read_rule(r);
-    std::array<std::uint64_t, 4> rng_state;
-    for (std::uint64_t& word : rng_state) word = r.read<std::uint64_t>();
-    t.rng_ = stats::Rng::from_state(rng_state);
-    const auto read_reservoir = [&](AdaptiveThresholdTuner::Reservoir& res) {
-      for (std::vector<double>* v :
-           {&res.invite_rate, &res.out_accept, &res.clustering}) {
-        const std::uint64_t n = read_count(r, "reservoir");
-        v->resize(n);
-        for (double& x : *v) x = r.read<double>();
-      }
-    };
-    read_reservoir(t.normal_);
-    read_reservoir(t.sybil_);
-    t.normal_seen_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-    t.sybil_seen_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-    if (!r.exhausted()) {
-      throw SnapshotError(SnapshotErrorCode::kMalformedSection,
-                          "trailing bytes after realtime detector state");
-    }
-  }
 };
 
 std::vector<std::byte> serialize_stream_state(const StreamDetector& d) {
@@ -388,15 +294,6 @@ std::vector<std::byte> serialize_stream_state(const StreamDetector& d) {
 
 void restore_stream_state(StreamDetector& d, std::span<const std::byte> blob) {
   DetectorStateAccess::load_stream(d, blob);
-}
-
-std::vector<std::byte> serialize_realtime_state(const RealTimeDetector& d) {
-  return DetectorStateAccess::save_realtime(d);
-}
-
-void restore_realtime_state(RealTimeDetector& d,
-                            std::span<const std::byte> blob) {
-  DetectorStateAccess::load_realtime(d, blob);
 }
 
 }  // namespace sybil::core

@@ -1,15 +1,15 @@
 // Exact-state codec for the detection pipeline, used by the service
 // layer's incremental checkpoints (src/service/checkpoint.h).
 //
-// serialize_*/restore_* capture the COMPLETE private state of a
-// StreamDetector / RealTimeDetector — ledgers, watcher index, reorder
+// serialize_stream_state/restore_stream_state capture the COMPLETE
+// private state of a StreamDetector — ledgers, watcher index, reorder
 // buffer (written in ascending (time, seq) order, read in any order),
-// dedup sets, accounting counters, adaptive-tuner reservoirs and RNG
-// stream — such that a restored detector is byte-identical to one that
-// never stopped: same verdicts, same feature snapshots, same counters,
-// and identical bytes from the next serialize call (save-load-save
-// stability). Hash-set contents are serialized sorted for that
-// stability; their iteration order is never observable in behavior.
+// dedup sets and accounting counters — such that a restored detector is
+// byte-identical to one that never stopped: same verdicts, same feature
+// snapshots, same counters, and identical bytes from the next serialize
+// call (save-load-save stability). Hash-set contents are serialized
+// sorted for that stability; their iteration order is never observable
+// in behavior.
 //
 // The caller must restore into a detector constructed with the SAME
 // DetectorOptions that produced the blob (the service persists options
@@ -29,7 +29,6 @@
 namespace sybil::core {
 
 class StreamDetector;
-class RealTimeDetector;
 
 /// Blob format revision; bumped when the member list changes. Readers
 /// reject newer revisions with SnapshotError(kUnsupportedVersion).
@@ -39,9 +38,5 @@ std::vector<std::byte> serialize_stream_state(const StreamDetector& d);
 /// Throws io::SnapshotError on truncated/malformed/newer-version blobs;
 /// `d` is left in an unspecified but destructible state on throw.
 void restore_stream_state(StreamDetector& d, std::span<const std::byte> blob);
-
-std::vector<std::byte> serialize_realtime_state(const RealTimeDetector& d);
-void restore_realtime_state(RealTimeDetector& d,
-                            std::span<const std::byte> blob);
 
 }  // namespace sybil::core

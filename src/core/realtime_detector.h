@@ -64,10 +64,6 @@ class RealTimeDetector {
   std::size_t carryover_count() const noexcept { return carryover_.size(); }
 
  private:
-  /// Checkpoint codec (core/detector_state.h): serializes flag/carryover
-  /// sets and the tuner so a recovered pipeline resumes byte-identically.
-  friend struct DetectorStateAccess;
-
   DetectorOptions options_;
   ThresholdDetector detector_;
   AdaptiveThresholdTuner tuner_;

@@ -10,9 +10,8 @@ namespace sybil::graph {
 namespace {
 
 /// Counts edges among the given candidate set using a hash set of the
-/// candidates and scanning each candidate's adjacency once. Kept as the
-/// reference kernel for the deprecated two-handle API and for full-
-/// neighborhood clustering (whose rows have no sorted twin).
+/// candidates and scanning each candidate's adjacency once — the kernel
+/// for full-neighborhood clustering, whose rows have no sorted twin.
 std::uint64_t edges_within(const CsrGraph& g, std::span<const NodeId> nodes) {
   std::unordered_set<NodeId> member(nodes.begin(), nodes.end());
   std::uint64_t twice_edges = 0;
@@ -140,27 +139,6 @@ std::vector<double> first_k_clustering_batch(const NeighborView& view,
   std::vector<double> out(subjects.size(), 0.0);
   first_k_clustering_batch(view, subjects, k, out);
   return out;
-}
-
-double clustering_of_subset(const CsrGraph& g,
-                            std::span<const NodeId> subset) {
-  const std::size_t d = subset.size();
-  if (d < 2) return 0.0;
-  const std::uint64_t links = edges_within(g, subset);
-  return 2.0 * static_cast<double>(links) /
-         (static_cast<double>(d) * static_cast<double>(d - 1));
-}
-
-double first_k_clustering(const TimestampedGraph& tg, const CsrGraph& g,
-                          NodeId u, std::size_t k) {
-  const auto nbrs = tg.neighbors(u);  // chronological order
-  std::vector<NodeId> first;
-  first.reserve(std::min(k, nbrs.size()));
-  for (const Neighbor& n : nbrs) {
-    if (first.size() >= k) break;
-    first.push_back(n.node);
-  }
-  return clustering_of_subset(g, first);
 }
 
 std::vector<double> local_clustering_all(const CsrGraph& g) {

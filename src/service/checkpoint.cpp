@@ -22,7 +22,8 @@ namespace {
 constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecQueue = 2;
 constexpr std::uint32_t kSecStream = 3;
-constexpr std::uint32_t kSecRealtime = 4;
+// Id 4 held the real-time detector's state in v1–v3; v4 writes no such
+// section and readers never look at it.
 constexpr std::uint32_t kSecDefense = 5;
 
 // v1: PR 5 single-instance layout. v2 appends the shard identity
@@ -30,9 +31,11 @@ constexpr std::uint32_t kSecDefense = 5;
 // meta section; every other section is unchanged, so v1 blobs load with
 // the new fields defaulted (shard_count 0 = identity unknown). v3 adds
 // the optional kSecDefense section carrying the defense-scorer state;
-// the meta layout is unchanged, and v1/v2 blobs load with it empty
+// the meta layout is unchanged, and v1/v2 blobs load with it empty. v4
+// drops section 4 (the supervisor no longer keeps a real-time
+// detector); v1–v3 files still load, their section 4 skipped
 // (docs/FORMATS.md §5.4).
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 }  // namespace
 
@@ -46,14 +49,14 @@ void save_service_checkpoint(const std::string& path,
   meta.write(kCheckpointVersion);
   meta.write(state.tier);
   meta.write(state.wal_position);
-  meta.write(state.offered);
-  meta.write(state.admitted);
-  meta.write(state.pumped);
-  meta.write(state.shed_low_priority);
-  meta.write(state.shed_sweep_only);
-  meta.write(state.shed_capacity);
-  meta.write(state.sweeps);
-  meta.write(state.sweep_flagged);
+  meta.write(state.counters.offered);
+  meta.write(state.counters.admitted);
+  meta.write(state.counters.pumped);
+  meta.write(state.counters.shed_low_priority);
+  meta.write(state.counters.shed_sweep_only);
+  meta.write(state.counters.shed_capacity);
+  meta.write(state.counters.sweeps);
+  meta.write(state.counters.sweep_flagged);
   meta.write(state.shard_id);
   meta.write(state.shard_count);
   meta.write(state.next_seq);
@@ -73,7 +76,6 @@ void save_service_checkpoint(const std::string& path,
   writer.add_section(kSecQueue, std::move(queue).take());
 
   writer.add_section(kSecStream, state.stream_state);
-  writer.add_section(kSecRealtime, state.realtime_state);
   if (!state.defense_state.empty()) {
     writer.add_section(kSecDefense, state.defense_state);
   }
@@ -98,14 +100,14 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
   }
   state.tier = meta.read<std::uint32_t>();
   state.wal_position = meta.read<std::uint64_t>();
-  state.offered = meta.read<std::uint64_t>();
-  state.admitted = meta.read<std::uint64_t>();
-  state.pumped = meta.read<std::uint64_t>();
-  state.shed_low_priority = meta.read<std::uint64_t>();
-  state.shed_sweep_only = meta.read<std::uint64_t>();
-  state.shed_capacity = meta.read<std::uint64_t>();
-  state.sweeps = meta.read<std::uint64_t>();
-  state.sweep_flagged = meta.read<std::uint64_t>();
+  state.counters.offered = meta.read<std::uint64_t>();
+  state.counters.admitted = meta.read<std::uint64_t>();
+  state.counters.pumped = meta.read<std::uint64_t>();
+  state.counters.shed_low_priority = meta.read<std::uint64_t>();
+  state.counters.shed_sweep_only = meta.read<std::uint64_t>();
+  state.counters.shed_capacity = meta.read<std::uint64_t>();
+  state.counters.sweeps = meta.read<std::uint64_t>();
+  state.counters.sweep_flagged = meta.read<std::uint64_t>();
   if (version >= 2) {
     state.shard_id = meta.read<std::uint32_t>();
     state.shard_count = meta.read<std::uint32_t>();
@@ -131,8 +133,6 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
 
   const auto stream = reader.section(kSecStream);
   state.stream_state.assign(stream.begin(), stream.end());
-  const auto realtime = reader.section(kSecRealtime);
-  state.realtime_state.assign(realtime.begin(), realtime.end());
   if (reader.has_section(kSecDefense)) {
     const auto defense = reader.section(kSecDefense);
     state.defense_state.assign(defense.begin(), defense.end());

@@ -1,6 +1,6 @@
 // Incremental service checkpoints: SYBS containers (PR 3 subsystem,
 // PayloadKind::kServiceCheckpoint) capturing everything the supervisor
-// needs to resume byte-identically — the two detectors' exact state
+// needs to resume byte-identically — the stream detector's exact state
 // (core/detector_state.h), the admitted-but-unpumped queue, the
 // replay-exact accounting counters, the degradation tier, and the WAL
 // position P (count of WAL records written when the checkpoint was
@@ -25,6 +25,37 @@
 
 namespace sybil::service {
 
+/// The supervisor's replay-exact workload counters — the values
+/// stats_json reports. One block: the supervisor owns it, a checkpoint
+/// stores and restores it whole, and a ShardRouter sums it across
+/// shards.
+struct ServiceCounters {
+  std::uint64_t offered = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t pumped = 0;
+  std::uint64_t shed_low_priority = 0;
+  std::uint64_t shed_sweep_only = 0;
+  std::uint64_t shed_capacity = 0;
+  std::uint64_t sweeps = 0;
+  std::uint64_t sweep_flagged = 0;
+
+  std::uint64_t shed_total() const noexcept {
+    return shed_low_priority + shed_sweep_only + shed_capacity;
+  }
+  ServiceCounters& operator+=(const ServiceCounters& o) noexcept {
+    offered += o.offered;
+    admitted += o.admitted;
+    pumped += o.pumped;
+    shed_low_priority += o.shed_low_priority;
+    shed_sweep_only += o.shed_sweep_only;
+    shed_capacity += o.shed_capacity;
+    sweeps += o.sweeps;
+    sweep_flagged += o.sweep_flagged;
+    return *this;
+  }
+  bool operator==(const ServiceCounters&) const = default;
+};
+
 /// Everything a checkpoint stores; the supervisor fills/consumes it.
 struct ServiceCheckpointState {
   std::uint64_t wal_position = 0;
@@ -41,24 +72,15 @@ struct ServiceCheckpointState {
   /// the redelivery frontier must survive even when the records that
   /// established it no longer exist on disk.
   std::uint64_t next_seq = 0;
-  // Replay-exact workload counters (see ServiceSupervisor::stats_json).
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t pumped = 0;
-  std::uint64_t shed_low_priority = 0;
-  std::uint64_t shed_sweep_only = 0;
-  std::uint64_t shed_capacity = 0;
-  std::uint64_t sweeps = 0;
-  std::uint64_t sweep_flagged = 0;
+  ServiceCounters counters;
   /// Admitted records (index < wal_position) not yet pumped, in offer
   /// order.
   std::vector<WalRecord> queue;
-  /// core::serialize_stream_state / serialize_realtime_state blobs.
+  /// core::serialize_stream_state blob.
   std::vector<std::byte> stream_state;
-  std::vector<std::byte> realtime_state;
-  /// service::DefenseScorer::serialize blob (format v3, section written
+  /// service::DefenseScorer::serialize blob (format v3+, section written
   /// only when non-empty — i.e. when DetectorOptions::defense is on).
-  /// A v2/v1 checkpoint, or a v3 one written with the tier off, loads
+  /// A v2/v1 checkpoint, or a later one written with the tier off, loads
   /// with this empty.
   std::vector<std::byte> defense_state;
 };

@@ -221,7 +221,8 @@ RouteResult ShardRouter::offer(const osn::Event& e, std::uint64_t seq) {
 
 RouteResult ShardRouter::offer_batch(std::span<const osn::Event> events,
                                      std::uint64_t base_seq) {
-  if (base_seq + events.size() > kExplicitSeqLimit) {
+  if (base_seq >= kExplicitSeqLimit ||
+      events.size() > kExplicitSeqLimit - base_seq) {
     throw std::invalid_argument(
         "ShardRouter::offer_batch requires explicit global seqs (auto "
         "seqs cannot define a redelivery frontier)");
@@ -409,20 +410,14 @@ bool ShardRouter::accounting_ok() const noexcept {
 }
 
 std::string ShardRouter::stats_json() const {
-  std::uint64_t offered = 0, admitted = 0, pumped = 0;
-  std::uint64_t shed_low = 0, shed_sweep = 0, shed_cap = 0;
+  ServiceCounters sum;
   std::uint64_t queued = 0, applied = 0, deduped = 0;
   std::uint64_t deadlettered = 0, dl_dropped = 0, buffered = 0;
-  std::uint64_t banned_party = 0, flagged = 0, sweeps = 0, sweep_flagged = 0;
+  std::uint64_t banned_party = 0, flagged = 0;
   std::uint64_t by_reason[core::kStreamErrorCodeCount] = {};
   for (const auto& s : shards_) {
     if (!s) continue;  // down shard: excluded from aggregates
-    offered += s->offered();
-    admitted += s->admitted();
-    pumped += s->pumped();
-    shed_low += s->shed_low_priority();
-    shed_sweep += s->shed_sweep_only();
-    shed_cap += s->shed_capacity();
+    sum += s->counters();
     queued += s->queue_depth();
     applied += s->detector().applied_total();
     deduped += s->detector().deduped_total();
@@ -431,8 +426,6 @@ std::string ShardRouter::stats_json() const {
     buffered += s->detector().buffered();
     banned_party += s->detector().banned_party_total();
     flagged += s->detector().flagged_total();
-    sweeps += s->sweeps();
-    sweep_flagged += s->sweep_flagged();
     for (std::size_t r = 0; r < core::kStreamErrorCodeCount; ++r) {
       by_reason[r] +=
           s->detector().deadletter_by_reason(static_cast<core::StreamErrorCode>(r));
@@ -454,16 +447,16 @@ std::string ShardRouter::stats_json() const {
   // sum of the per-shard identities (cross-shard fanout is visible in
   // "copies" above, never silently folded away).
   out += ",\"aggregate\":{";
-  append_field(out, "offered", offered);
-  append_field(out, "admitted", admitted);
+  append_field(out, "offered", sum.offered);
+  append_field(out, "admitted", sum.admitted);
   out += ",\"shed\":{";
-  append_field(out, "low_priority", shed_low);
-  append_field(out, "sweep_only", shed_sweep);
-  append_field(out, "capacity", shed_cap);
-  append_field(out, "total", shed_low + shed_sweep + shed_cap);
+  append_field(out, "low_priority", sum.shed_low_priority);
+  append_field(out, "sweep_only", sum.shed_sweep_only);
+  append_field(out, "capacity", sum.shed_capacity);
+  append_field(out, "total", sum.shed_total());
   out += '}';
   append_field(out, "queued", queued);
-  append_field(out, "pumped", pumped);
+  append_field(out, "pumped", sum.pumped);
   append_field(out, "applied", applied);
   append_field(out, "deduped", deduped);
   out += ",\"deadlettered\":{";
@@ -477,8 +470,8 @@ std::string ShardRouter::stats_json() const {
   append_field(out, "buffered", buffered);
   append_field(out, "banned_party", banned_party);
   append_field(out, "flagged_total", flagged);
-  append_field(out, "sweeps", sweeps);
-  append_field(out, "sweep_flagged", sweep_flagged);
+  append_field(out, "sweeps", sum.sweeps);
+  append_field(out, "sweep_flagged", sum.sweep_flagged);
   out += '}';
   out += ",\"per_shard\":[";
   for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -71,6 +71,19 @@ struct ServiceSupervisor::Metrics {
       if (agg != nullptr) agg->add(n);
     }
   };
+  // A counter whose total lives in the detector or the scorer:
+  // publish_metrics() adds what the total gained since the last publish
+  // (ops-only, not checkpointed).
+  struct Delta {
+    Count count;
+    std::uint64_t published = 0;
+    std::uint64_t publish(std::uint64_t total) noexcept {
+      const std::uint64_t delta = total - published;
+      published = total;
+      count.add(delta);
+      return delta;
+    }
+  };
   // Gauges are instantaneous, so an aggregated twin would be
   // last-writer-wins noise across shards: local only.
   struct Level {
@@ -89,15 +102,15 @@ struct ServiceSupervisor::Metrics {
   Count shed_sweep_only;
   Count shed_capacity;
   Count sweeps;
-  Count deadletter[core::kStreamErrorCodeCount];
+  Delta deadletter[core::kStreamErrorCodeCount];
   Count deadletter_total;
-  Count deadletter_dropped;
+  Delta deadletter_dropped;
   // Defense tier (registered only when DetectorOptions::defense is on;
   // unregistered handles no-op — see Count::add).
-  Count defense_edges;
-  Count defense_dirty;
-  Count defense_rounds;
-  Count defense_full;
+  Delta defense_edges;
+  Delta defense_dirty;
+  Delta defense_rounds;
+  Delta defense_full;
   Count defense_scores;
   // Storage-degraded mode incidents (docs/OBSERVABILITY.md §storage.*).
   Count storage_entries;
@@ -137,16 +150,17 @@ struct ServiceSupervisor::Metrics {
     shed_capacity = count("shed.capacity");
     sweeps = count("sweeps");
     for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
-      deadletter[i] = count(std::string("deadletter.") +
-                            core::to_string(static_cast<core::StreamErrorCode>(i)));
+      deadletter[i].count =
+          count(std::string("deadletter.") +
+                core::to_string(static_cast<core::StreamErrorCode>(i)));
     }
     deadletter_total = count("deadletter.total");
-    deadletter_dropped = count("deadletter.dropped");
+    deadletter_dropped.count = count("deadletter.dropped");
     if (o.detector.defense.enabled) {
-      defense_edges = count("defense.edges_observed");
-      defense_dirty = count("defense.dirty_vertices");
-      defense_rounds = count("defense.propagation_rounds");
-      defense_full = count("defense.full_recomputes");
+      defense_edges.count = count("defense.edges_observed");
+      defense_dirty.count = count("defense.dirty_vertices");
+      defense_rounds.count = count("defense.propagation_rounds");
+      defense_full.count = count("defense.full_recomputes");
       defense_scores = count("defense.scores_published");
     }
     storage_entries = count("storage.degraded_entries");
@@ -214,8 +228,7 @@ void ServiceOptions::validate() const {
 
 ServiceSupervisor::ServiceSupervisor(const ServiceOptions& options)
     : options_((options.validate(), options)),
-      detector_(options.detector),
-      realtime_(options.detector) {
+      detector_(options.detector) {
   if (options_.detector.defense.enabled) {
     scorer_ = std::make_unique<DefenseScorer>(options_.detector);
   }
@@ -235,15 +248,12 @@ void ServiceSupervisor::require_started(const char* what) const {
 
 void ServiceSupervisor::reset_state() {
   detector_ = core::StreamDetector(options_.detector);
-  realtime_ = core::RealTimeDetector(options_.detector);
   if (scorer_ != nullptr) {
     scorer_ = std::make_unique<DefenseScorer>(options_.detector);
   }
   queue_.clear();
   tier_ = core::ServiceTier::kFull;
-  offered_ = admitted_ = pumped_ = 0;
-  shed_low_priority_ = shed_sweep_only_ = shed_capacity_ = 0;
-  sweeps_ = sweep_flagged_ = 0;
+  counters_ = {};
   next_seq_ = 0;
   storage_degraded_ = false;
   storage_backoff_ = storage_retry_in_ = 0;
@@ -285,7 +295,6 @@ RecoveryReport ServiceSupervisor::start() {
             std::to_string(options_.shard_count));
       }
       core::restore_stream_state(detector_, state.stream_state);
-      core::restore_realtime_state(realtime_, state.realtime_state);
       if (scorer_ != nullptr) {
         // A defense-enabled supervisor refuses a checkpoint without a
         // scorer section: typed SnapshotError, so the fallback loop
@@ -304,14 +313,7 @@ RecoveryReport ServiceSupervisor::start() {
       }
       queue_.assign(state.queue.begin(), state.queue.end());
       tier_ = static_cast<core::ServiceTier>(state.tier);
-      offered_ = state.offered;
-      admitted_ = state.admitted;
-      pumped_ = state.pumped;
-      shed_low_priority_ = state.shed_low_priority;
-      shed_sweep_only_ = state.shed_sweep_only;
-      shed_capacity_ = state.shed_capacity;
-      sweeps_ = state.sweeps;
-      sweep_flagged_ = state.sweep_flagged;
+      counters_ = state.counters;
       next_seq_ = state.next_seq;
       report.cold_start = false;
       report.checkpoint_file = generations[i].second;
@@ -334,21 +336,21 @@ RecoveryReport ServiceSupervisor::start() {
   const std::vector<WalRecord> records =
       scan_wal(wal_dir, from_index, scan, options_.shard_id, options_.vfs);
   for (const WalRecord& r : records) {
-    ++offered_;
+    ++counters_.offered;
     if (r.seq < kExplicitSeqLimit) {
       next_seq_ = std::max(next_seq_, r.seq + 1);
     }
     if (r.shed()) {
       if ((r.flags & WalRecordFlags::kCapacity) != 0) {
-        ++shed_capacity_;
+        ++counters_.shed_capacity;
       } else if (tier_from_flags(r.flags) == core::ServiceTier::kSweepOnly) {
-        ++shed_sweep_only_;
+        ++counters_.shed_sweep_only;
       } else {
-        ++shed_low_priority_;
+        ++counters_.shed_low_priority;
       }
     } else {
       queue_.push_back(r);
-      ++admitted_;
+      ++counters_.admitted;
     }
     tier_ = tier_from_flags(r.flags);
   }
@@ -465,22 +467,22 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
     SYBIL_SERVICE_METRIC(
         storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
   }
-  ++offered_;
+  ++counters_.offered;
   if (seq < kExplicitSeqLimit) next_seq_ = std::max(next_seq_, seq + 1);
   if (shed) {
     if (capacity) {
-      ++shed_capacity_;
+      ++counters_.shed_capacity;
       SYBIL_SERVICE_METRIC(shed_capacity.add(1));
     } else if (tier_ == core::ServiceTier::kSweepOnly) {
-      ++shed_sweep_only_;
+      ++counters_.shed_sweep_only;
       SYBIL_SERVICE_METRIC(shed_sweep_only.add(1));
     } else {
-      ++shed_low_priority_;
+      ++counters_.shed_low_priority;
       SYBIL_SERVICE_METRIC(shed_low_priority.add(1));
     }
   } else {
     queue_.push_back(WalRecord{index, seq, e, flags});
-    ++admitted_;
+    ++counters_.admitted;
   }
   SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
   maybe_checkpoint();
@@ -528,7 +530,7 @@ std::size_t ServiceSupervisor::pump_queue(std::size_t max_events,
          queue_.front().seq <= seq_bound) {
     const WalRecord r = queue_.front();
     queue_.pop_front();
-    ++pumped_;
+    ++counters_.pumped;
     ++n;
     detector_.ingest(r.event, r.seq);
     if (scorer_ != nullptr) scorer_->observe(r.event);
@@ -547,9 +549,9 @@ std::size_t ServiceSupervisor::drain() {
 
 std::size_t ServiceSupervisor::sweep_flags(graph::Time now) {
   require_started("sweep_flags");
-  ++sweeps_;
+  ++counters_.sweeps;
   const std::size_t n = detector_.sweep_flags(now);
-  sweep_flagged_ += n;
+  counters_.sweep_flagged += n;
   // Defense refresh rides the sweep cadence: scores fold in everything
   // pumped before this sweep, a pure function of the event prefix —
   // what keeps N-shard and 1-shard annotations identical.
@@ -578,31 +580,16 @@ void ServiceSupervisor::publish_metrics() {
   SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", detector_.buffered());
   std::uint64_t total_delta = 0;
   for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
-    const std::uint64_t now =
-        detector_.deadletter_by_reason(static_cast<core::StreamErrorCode>(i));
-    const std::uint64_t delta = now - published_deadletter_[i];
-    published_deadletter_[i] = now;
-    total_delta += delta;
-    metrics_->deadletter[i].add(delta);
+    total_delta += metrics_->deadletter[i].publish(
+        detector_.deadletter_by_reason(static_cast<core::StreamErrorCode>(i)));
   }
   metrics_->deadletter_total.add(total_delta);
-  const std::uint64_t dropped = detector_.dead_letters_dropped();
-  metrics_->deadletter_dropped.add(dropped - published_deadletter_dropped_);
-  published_deadletter_dropped_ = dropped;
+  metrics_->deadletter_dropped.publish(detector_.dead_letters_dropped());
   if (scorer_ != nullptr) {
-    const auto publish = [](const Metrics::Count& c, std::uint64_t now,
-                            std::uint64_t& prev) {
-      c.add(now - prev);
-      prev = now;
-    };
-    publish(metrics_->defense_edges, scorer_->edges_observed(),
-            published_defense_edges_);
-    publish(metrics_->defense_dirty, scorer_->dirty_processed(),
-            published_defense_dirty_);
-    publish(metrics_->defense_rounds, scorer_->rank().rounds_total(),
-            published_defense_rounds_);
-    publish(metrics_->defense_full, scorer_->rank().full_recomputes(),
-            published_defense_full_);
+    metrics_->defense_edges.publish(scorer_->edges_observed());
+    metrics_->defense_dirty.publish(scorer_->dirty_processed());
+    metrics_->defense_rounds.publish(scorer_->rank().rounds_total());
+    metrics_->defense_full.publish(scorer_->rank().full_recomputes());
   }
 #endif
 }
@@ -631,17 +618,9 @@ void ServiceSupervisor::checkpoint_now() {
   state.shard_id = options_.shard_id;
   state.shard_count = options_.shard_count;
   state.next_seq = next_seq_;
-  state.offered = offered_;
-  state.admitted = admitted_;
-  state.pumped = pumped_;
-  state.shed_low_priority = shed_low_priority_;
-  state.shed_sweep_only = shed_sweep_only_;
-  state.shed_capacity = shed_capacity_;
-  state.sweeps = sweeps_;
-  state.sweep_flagged = sweep_flagged_;
+  state.counters = counters_;
   state.queue.assign(queue_.begin(), queue_.end());
   state.stream_state = core::serialize_stream_state(detector_);
-  state.realtime_state = core::serialize_realtime_state(realtime_);
   if (scorer_ != nullptr) state.defense_state = scorer_->serialize();
 
   const std::string ckpt_dir = options_.dir + "/ckpt";
@@ -727,13 +706,12 @@ bool ServiceSupervisor::retry_storage_now() {
 }
 
 bool ServiceSupervisor::accounting_ok() const noexcept {
-  const std::uint64_t shed_total =
-      shed_low_priority_ + shed_sweep_only_ + shed_capacity_;
-  if (offered_ != shed_total + queue_.size() + detector_.events_in()) {
+  const ServiceCounters& c = counters_;
+  if (c.offered != c.shed_total() + queue_.size() + detector_.events_in()) {
     return false;
   }
-  if (admitted_ != offered_ - shed_total) return false;
-  if (pumped_ != detector_.events_in()) return false;
+  if (c.admitted != c.offered - c.shed_total()) return false;
+  if (c.pumped != detector_.events_in()) return false;
   return detector_.events_in() ==
          detector_.applied_total() + detector_.deduped_total() +
              detector_.deadletter_total() + detector_.buffered();
@@ -741,17 +719,16 @@ bool ServiceSupervisor::accounting_ok() const noexcept {
 
 std::string ServiceSupervisor::stats_json() const {
   std::string out = "{";
-  append_field(out, "offered", offered_);
-  append_field(out, "admitted", admitted_);
+  append_field(out, "offered", counters_.offered);
+  append_field(out, "admitted", counters_.admitted);
   out += ",\"shed\":{";
-  append_field(out, "low_priority", shed_low_priority_);
-  append_field(out, "sweep_only", shed_sweep_only_);
-  append_field(out, "capacity", shed_capacity_);
-  append_field(out, "total",
-               shed_low_priority_ + shed_sweep_only_ + shed_capacity_);
+  append_field(out, "low_priority", counters_.shed_low_priority);
+  append_field(out, "sweep_only", counters_.shed_sweep_only);
+  append_field(out, "capacity", counters_.shed_capacity);
+  append_field(out, "total", counters_.shed_total());
   out += '}';
   append_field(out, "queued", queue_.size());
-  append_field(out, "pumped", pumped_);
+  append_field(out, "pumped", counters_.pumped);
   append_field(out, "applied", detector_.applied_total());
   append_field(out, "deduped", detector_.deduped_total());
   out += ",\"deadlettered\":{";
@@ -767,8 +744,8 @@ std::string ServiceSupervisor::stats_json() const {
   append_field(out, "banned_party", detector_.banned_party_total());
   append_field(out, "accounts_seen", detector_.accounts_seen());
   append_field(out, "flagged_total", detector_.flagged_total());
-  append_field(out, "sweeps", sweeps_);
-  append_field(out, "sweep_flagged", sweep_flagged_);
+  append_field(out, "sweeps", counters_.sweeps);
+  append_field(out, "sweep_flagged", counters_.sweep_flagged);
   append_field(out, "next_seq", next_seq_);
   if (scorer_ != nullptr) {
     // Replay-exact like everything else here: the scorer's counters are

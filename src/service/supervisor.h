@@ -1,9 +1,9 @@
 // Supervised, crash-fault-tolerant detection service.
 //
-// ServiceSupervisor wraps the StreamDetector + RealTimeDetector pair
-// behind a durable event path (the deployment posture the paper's
-// Section 2.3 pipeline implies — a service banning ~100k accounts
-// cannot drop or double-count friend-request events across restarts):
+// ServiceSupervisor wraps a StreamDetector behind a durable event path
+// (the deployment posture the paper's Section 2.3 pipeline implies — a
+// service banning ~100k accounts cannot drop or double-count
+// friend-request events across restarts):
 //
 //   offer(event) ──admission──▶ WAL append ──▶ ingest queue
 //                                                 │ pump()
@@ -56,7 +56,6 @@
 #include <string>
 
 #include "core/detector_options.h"
-#include "core/realtime_detector.h"
 #include "core/stream_detector.h"
 #include "service/checkpoint.h"
 #include "service/wal.h"
@@ -299,22 +298,27 @@ class ServiceSupervisor {
   }
 
   // Replay-exact workload counters (the same values stats_json reports).
-  std::uint64_t offered() const noexcept { return offered_; }
-  std::uint64_t admitted() const noexcept { return admitted_; }
-  std::uint64_t pumped() const noexcept { return pumped_; }
+  const ServiceCounters& counters() const noexcept { return counters_; }
+  std::uint64_t offered() const noexcept { return counters_.offered; }
+  std::uint64_t admitted() const noexcept { return counters_.admitted; }
+  std::uint64_t pumped() const noexcept { return counters_.pumped; }
   std::uint64_t shed_low_priority() const noexcept {
-    return shed_low_priority_;
+    return counters_.shed_low_priority;
   }
-  std::uint64_t shed_sweep_only() const noexcept { return shed_sweep_only_; }
-  std::uint64_t shed_capacity() const noexcept { return shed_capacity_; }
-  std::uint64_t shed_total() const noexcept {
-    return shed_low_priority_ + shed_sweep_only_ + shed_capacity_;
+  std::uint64_t shed_sweep_only() const noexcept {
+    return counters_.shed_sweep_only;
   }
+  std::uint64_t shed_capacity() const noexcept {
+    return counters_.shed_capacity;
+  }
+  std::uint64_t shed_total() const noexcept { return counters_.shed_total(); }
   std::uint64_t tier_transitions() const noexcept {
     return tier_transitions_;
   }
-  std::uint64_t sweeps() const noexcept { return sweeps_; }
-  std::uint64_t sweep_flagged() const noexcept { return sweep_flagged_; }
+  std::uint64_t sweeps() const noexcept { return counters_.sweeps; }
+  std::uint64_t sweep_flagged() const noexcept {
+    return counters_.sweep_flagged;
+  }
   /// One past the highest explicit seq offered (the live redelivery
   /// frontier; equals recovery().next_seq right after start()).
   std::uint64_t next_seq() const noexcept { return next_seq_; }
@@ -333,7 +337,6 @@ class ServiceSupervisor {
 
   core::StreamDetector& detector() noexcept { return detector_; }
   const core::StreamDetector& detector() const noexcept { return detector_; }
-  core::RealTimeDetector& realtime() noexcept { return realtime_; }
   /// The defense tier's scorer, or nullptr when the tier is off.
   const DefenseScorer* defense() const noexcept { return scorer_.get(); }
 
@@ -353,7 +356,6 @@ class ServiceSupervisor {
 
   ServiceOptions options_;
   core::StreamDetector detector_;
-  core::RealTimeDetector realtime_;
   /// Built iff options_.detector.defense.enabled; observes every pumped
   /// event, refreshes at every flag sweep, state rides in checkpoints.
   std::unique_ptr<DefenseScorer> scorer_;
@@ -364,15 +366,7 @@ class ServiceSupervisor {
   RecoveryReport recovery_{};
   bool started_ = false;
 
-  // Replay-exact workload counters (mirrored into checkpoints).
-  std::uint64_t offered_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t pumped_ = 0;
-  std::uint64_t shed_low_priority_ = 0;
-  std::uint64_t shed_sweep_only_ = 0;
-  std::uint64_t shed_capacity_ = 0;
-  std::uint64_t sweeps_ = 0;
-  std::uint64_t sweep_flagged_ = 0;
+  ServiceCounters counters_;  // replay-exact; checkpointed whole
   std::uint64_t next_seq_ = 0;
   std::uint64_t tier_transitions_ = 0;  // ops-only, not in stats_json
   // Storage-degraded mode state + incident counters (all ops-only).
@@ -385,15 +379,6 @@ class ServiceSupervisor {
   std::uint64_t storage_retries_ = 0;
   std::uint64_t storage_retry_failures_ = 0;
   std::uint64_t storage_checkpoints_suspended_ = 0;
-  /// Registry values already published per dead-letter reason, so
-  /// publish_metrics() emits exact deltas (ops-only, not checkpointed).
-  std::uint64_t published_deadletter_[core::kStreamErrorCodeCount] = {};
-  std::uint64_t published_deadletter_dropped_ = 0;
-  /// Scorer counters already published (same delta pattern; ops-only).
-  std::uint64_t published_defense_edges_ = 0;
-  std::uint64_t published_defense_dirty_ = 0;
-  std::uint64_t published_defense_rounds_ = 0;
-  std::uint64_t published_defense_full_ = 0;
 };
 
 }  // namespace sybil::service

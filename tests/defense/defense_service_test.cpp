@@ -18,9 +18,10 @@
 //     match a single shard's, across thread counts;
 //   * the defense metric family: per-shard rows sum exactly into the
 //     aggregate twins and match the scorers' ground truth;
-//   * the committed golden v3 checkpoint binary (tests/data/
-//     service_ckpt_v3.sybs, docs/FORMATS.md §5.4): loads field-exact
-//     and re-serializes to the same bytes.
+//   * the committed golden checkpoint binaries (tests/data/
+//     service_ckpt_v{3,4}.sybs, docs/FORMATS.md §5.4): both load
+//     field-exact (v3's retired section 4 skipped), and today's writer
+//     reproduces the v4 bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +38,7 @@
 #include "core/metrics/metrics.h"
 #include "core/parallel.h"
 #include "faults/process_faults.h"
+#include "io/container.h"
 #include "osn/network.h"
 #include "service/checkpoint.h"
 #include "service/defense_scorer.h"
@@ -494,15 +496,17 @@ TEST_F(DefenseService, DefenseMetricsAggregateExactly) {
 }
 #endif  // SYBIL_METRICS_COMPILED
 
-// ---- Golden v3 checkpoint (docs/FORMATS.md §5.4) ---------------------
+// ---- Golden checkpoints (docs/FORMATS.md §5.4) -----------------------
 
 std::string golden(const char* name) {
   return std::string(SYBIL_TEST_DATA_DIR) + "/" + name;
 }
 
-/// The exact state behind tests/data/service_ckpt_v3.sybs — every
+/// The exact state behind tests/data/service_ckpt_v{3,4}.sybs — every
 /// field here is documented in the worked example of FORMATS.md §5.4.
-/// Fully deterministic: fixed options, fixed events, no RNG, no clock.
+/// (The v3 file additionally carries the opaque section 4 blob "R1",
+/// which v4 no longer has a field for.) Fully deterministic: fixed
+/// options, fixed events, no RNG, no clock.
 ServiceCheckpointState golden_state() {
   ServiceCheckpointState s;
   s.wal_position = 7;
@@ -510,20 +514,19 @@ ServiceCheckpointState golden_state() {
   s.shard_id = 2;
   s.shard_count = 4;
   s.next_seq = 7;
-  s.offered = 7;
-  s.admitted = 6;
-  s.pumped = 5;
-  s.shed_low_priority = 1;
-  s.sweeps = 2;
-  s.sweep_flagged = 1;
+  s.counters.offered = 7;
+  s.counters.admitted = 6;
+  s.counters.pumped = 5;
+  s.counters.shed_low_priority = 1;
+  s.counters.sweeps = 2;
+  s.counters.sweep_flagged = 1;
   WalRecord r;
   r.index = 6;
   r.seq = 6;
   r.event = {osn::EventType::kRequestSent, 3, 4, 1.5};
   r.flags = 0;
   s.queue.push_back(r);
-  s.stream_state = {std::byte{0x53}, std::byte{0x31}};    // opaque "S1"
-  s.realtime_state = {std::byte{0x52}, std::byte{0x31}};  // opaque "R1"
+  s.stream_state = {std::byte{0x53}, std::byte{0x31}};  // opaque "S1"
 
   core::DetectorOptions opts;
   opts.defense.enabled = true;
@@ -540,28 +543,23 @@ ServiceCheckpointState golden_state() {
   return s;
 }
 
-TEST_F(DefenseService, GoldenCheckpointV3Loads) {
+/// Loads one golden generation and checks it field by field against
+/// golden_state(), then restores a working scorer from its section 5.
+void expect_golden_loads(const char* name) {
   const ServiceCheckpointState want = golden_state();
-  const ServiceCheckpointState got =
-      load_service_checkpoint(golden("service_ckpt_v3.sybs"));
+  const ServiceCheckpointState got = load_service_checkpoint(golden(name));
   EXPECT_EQ(got.wal_position, want.wal_position);
   EXPECT_EQ(got.tier, want.tier);
   EXPECT_EQ(got.shard_id, want.shard_id);
   EXPECT_EQ(got.shard_count, want.shard_count);
   EXPECT_EQ(got.next_seq, want.next_seq);
-  EXPECT_EQ(got.offered, want.offered);
-  EXPECT_EQ(got.admitted, want.admitted);
-  EXPECT_EQ(got.pumped, want.pumped);
-  EXPECT_EQ(got.shed_low_priority, want.shed_low_priority);
-  EXPECT_EQ(got.sweeps, want.sweeps);
-  EXPECT_EQ(got.sweep_flagged, want.sweep_flagged);
+  EXPECT_TRUE(got.counters == want.counters);
   ASSERT_EQ(got.queue.size(), 1u);
   EXPECT_EQ(got.queue[0].index, 6u);
   EXPECT_EQ(got.queue[0].seq, 6u);
   EXPECT_EQ(got.queue[0].event.actor, 3u);
   EXPECT_EQ(got.queue[0].event.subject, 4u);
   EXPECT_EQ(got.stream_state, want.stream_state);
-  EXPECT_EQ(got.realtime_state, want.realtime_state);
   ASSERT_EQ(got.defense_state, want.defense_state);
 
   // The scorer blob restores into a working scorer: 4 distinct edges,
@@ -581,10 +579,27 @@ TEST_F(DefenseService, GoldenCheckpointV3Loads) {
   EXPECT_EQ(dirty[1], 2u);
 }
 
-TEST_F(DefenseService, GoldenCheckpointV3BytesAreFrozen) {
-  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v3_fresh.sybs";
+/// Read compatibility: a v3 generation still loads. Its section 4 (the
+/// retired real-time detector blob) is present and skipped; every other
+/// field is exact.
+TEST_F(DefenseService, GoldenCheckpointV3Loads) {
+  const io::ContainerReader v3(golden("service_ckpt_v3.sybs"),
+                               io::PayloadKind::kServiceCheckpoint);
+  ASSERT_TRUE(v3.has_section(4)) << "the v3 golden must exercise the skip";
+  expect_golden_loads("service_ckpt_v3.sybs");
+}
+
+TEST_F(DefenseService, GoldenCheckpointV4Loads) {
+  const io::ContainerReader v4(golden("service_ckpt_v4.sybs"),
+                               io::PayloadKind::kServiceCheckpoint);
+  EXPECT_FALSE(v4.has_section(4));
+  expect_golden_loads("service_ckpt_v4.sybs");
+}
+
+TEST_F(DefenseService, GoldenCheckpointV4BytesAreFrozen) {
+  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v4_fresh.sybs";
   save_service_checkpoint(fresh, golden_state());
-  std::ifstream fa(golden("service_ckpt_v3.sybs"), std::ios::binary);
+  std::ifstream fa(golden("service_ckpt_v4.sybs"), std::ios::binary);
   std::ifstream fb(fresh, std::ios::binary);
   ASSERT_TRUE(fa.good()) << "committed golden missing";
   ASSERT_TRUE(fb.good());

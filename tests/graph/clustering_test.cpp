@@ -57,16 +57,24 @@ TEST(Clustering, StarHasNoTriangles) {
 }
 
 TEST(Clustering, SubsetCoefficient) {
-  const CsrGraph g = triangle_plus_tail();
-  // Subset {1, 2}: linked → cc = 1.
-  const std::vector<NodeId> linked = {1, 2};
-  EXPECT_NEAR(clustering_of_subset(g, linked), 1.0, 1e-12);
+  // The first-k prefix is the friend subset the coefficient covers.
+  // Node 0 befriends 1, 3, 2 in that order; node 1 befriends 0, 2; the
+  // only link among node 0's friends is 1-2.
+  TimestampedGraph g(4);
+  g.add_edge(0, 1, 0.0);
+  g.add_edge(0, 3, 1.0);
+  g.add_edge(0, 2, 2.0);
+  g.add_edge(1, 2, 3.0);
+  const NeighborView view = NeighborView::from(g);
+  // Subset {0, 2}: linked → cc = 1.
+  EXPECT_NEAR(first_k_clustering(view, 1, 2), 1.0, 1e-12);
   // Subset {1, 3}: not linked → 0.
-  const std::vector<NodeId> unlinked = {1, 3};
-  EXPECT_DOUBLE_EQ(clustering_of_subset(g, unlinked), 0.0);
+  EXPECT_DOUBLE_EQ(first_k_clustering(view, 0, 2), 0.0);
+  // Subset {1, 3, 2}: one link of three pairs → 1/3.
+  EXPECT_NEAR(first_k_clustering(view, 0, 3), 1.0 / 3.0, 1e-12);
   // Fewer than 2 friends → 0.
-  const std::vector<NodeId> single = {1};
-  EXPECT_DOUBLE_EQ(clustering_of_subset(g, single), 0.0);
+  EXPECT_DOUBLE_EQ(first_k_clustering(view, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(first_k_clustering(view, 3, 50), 0.0);
 }
 
 TEST(Clustering, FirstKUsesChronologicalPrefix) {
@@ -78,9 +86,9 @@ TEST(Clustering, FirstKUsesChronologicalPrefix) {
   g.add_edge(1, 2, 2.5);
   g.add_edge(0, 3, 3.0);
   g.add_edge(0, 4, 4.0);
-  const CsrGraph csr = CsrGraph::from(g);
-  EXPECT_NEAR(first_k_clustering(g, csr, 0, 2), 1.0, 1e-12);
-  EXPECT_NEAR(first_k_clustering(g, csr, 0, 50),
+  const NeighborView view = NeighborView::from(g);
+  EXPECT_NEAR(first_k_clustering(view, 0, 2), 1.0, 1e-12);
+  EXPECT_NEAR(first_k_clustering(view, 0, 50),
               2.0 * 1.0 / (4.0 * 3.0), 1e-12);
 }
 

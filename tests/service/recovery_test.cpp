@@ -10,11 +10,14 @@
 //     generation with a typed RecoveryReport — never a crash, never
 //     silent loss;
 //   * recovery with no checkpoint at all (cold start) rebuilds from
-//     the full WAL.
+//     the full WAL;
+//   * a generation in the v3 layout (with the retired section 4)
+//     restores and resumes byte-identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -24,6 +27,7 @@
 #include "core/detector_state.h"
 #include "core/parallel.h"
 #include "faults/process_faults.h"
+#include "io/container.h"
 #include "osn/network.h"
 #include "service/supervisor.h"
 #include "service/workload.h"
@@ -374,6 +378,84 @@ TEST_F(ServiceRecovery, ColdStartReplaysTheFullWal) {
   drive(recovered, log, report.next_index, report.checkpoint_position);
   EXPECT_EQ(recovered.stats_json(), base.stats);
   expect_flags_equal(recovered.take_flagged(), base.flags);
+}
+
+std::uint32_t meta_version(const io::ContainerReader& ckpt) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, ckpt.section(1).data(), sizeof version);
+  return version;
+}
+
+/// Rewrites a v4 generation in place in the v3 layout (docs/FORMATS.md
+/// §5.4): meta version word 3 plus a section 4 blob, every other
+/// section byte for byte.
+void rewrite_as_v3(const std::string& path) {
+  std::vector<std::byte> sections[6];
+  {
+    const io::ContainerReader v4(path, io::PayloadKind::kServiceCheckpoint);
+    ASSERT_EQ(meta_version(v4), 4u);
+    ASSERT_FALSE(v4.has_section(4));
+    for (std::uint32_t id : {1u, 2u, 3u, 5u}) {
+      if (!v4.has_section(id)) continue;
+      const auto bytes = v4.section(id);
+      sections[id].assign(bytes.begin(), bytes.end());
+    }
+  }
+  const std::uint32_t v3 = 3;
+  std::memcpy(sections[1].data(), &v3, sizeof v3);
+  // A v3 reader parsed section 4 as the real-time detector's state;
+  // today's reader never looks inside it, so any bytes stand in.
+  sections[4] = {std::byte{0x52}, std::byte{0x33}};
+  io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
+  for (std::uint32_t id = 1; id <= 5; ++id) {
+    if (id < 5 || !sections[id].empty()) {
+      writer.add_section(id, std::move(sections[id]));
+    }
+  }
+  writer.commit(path, io::SyncMode::kNever);
+}
+
+/// Upgrade path: a service that checkpointed under v3 restarts on this
+/// build, resumes from that generation (section 4 skipped) and lands on
+/// the bytes of a run that never stopped; its next checkpoint is v4.
+TEST_F(ServiceRecovery, V3CheckpointUpgradesAndResumesIdentically) {
+  const std::vector<osn::Event> log = build_log(19);
+  const RunResult base = run_baseline(log, fresh_dir("v3_base"));
+
+  const std::string dir = fresh_dir("v3_upgrade");
+  const std::uint64_t cut = 400;  // past the checkpoint at WAL index 256
+  ASSERT_GT(log.size(), cut + 100);
+  {
+    ServiceSupervisor s(make_options(dir));
+    s.start();
+    for (std::uint64_t i = 0; i < cut; ++i) {
+      s.offer(log[i], i);
+      if (i % 7 == 6) s.pump(3);
+    }
+    // Dies here without flush(): the newest generation is mid-run.
+  }
+  const auto generations = list_checkpoints(dir + "/ckpt");
+  ASSERT_FALSE(generations.empty());
+  for (const auto& generation : generations) {
+    ASSERT_NO_FATAL_FAILURE(rewrite_as_v3(generation.second));
+  }
+
+  ServiceSupervisor recovered(make_options(dir));
+  const RecoveryReport report = recovered.start();
+  EXPECT_FALSE(report.cold_start);
+  EXPECT_EQ(report.generations_discarded, 0u);
+  EXPECT_EQ(report.checkpoint_file, generations.back().second);
+  EXPECT_GT(report.records_replayed, 0u);
+  EXPECT_TRUE(recovered.accounting_ok());
+  drive(recovered, log, report.next_index, report.checkpoint_position);
+  EXPECT_EQ(recovered.stats_json(), base.stats);
+  expect_flags_equal(recovered.take_flagged(), base.flags);
+
+  // drive() ends in flush(), whose checkpoint is written as v4.
+  const io::ContainerReader newest(list_checkpoints(dir + "/ckpt").back().second,
+                                   io::PayloadKind::kServiceCheckpoint);
+  EXPECT_EQ(meta_version(newest), 4u);
+  EXPECT_FALSE(newest.has_section(4));
 }
 
 }  // namespace

@@ -233,10 +233,15 @@ TEST_F(Shard, PairEventLandsOnBothShardsExactlyOnce) {
   EXPECT_EQ(router.shard(1).detector().applied_total(), 1u);
   EXPECT_TRUE(router.accounting_ok());
 
-  // Auto-seqs cannot define a redelivery frontier.
+  // Auto-seqs cannot define a redelivery frontier — nor can a batch
+  // whose base seq is one, however short (base + size must not wrap).
   EXPECT_THROW(router.offer({osn::EventType::kRequestSent, a, b, 2.0},
                             core::StreamDetector::kAutoSeq),
                std::invalid_argument);
+  const osn::Event one[] = {{osn::EventType::kRequestSent, a, b, 2.0}};
+  EXPECT_THROW(router.offer_batch(one, core::StreamDetector::kAutoSeq),
+               std::invalid_argument);
+  EXPECT_TRUE(router.accounting_ok());
 }
 
 TEST_F(Shard, FrontierSurvivesRestartAndSuppressesRedelivery) {
