@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark) of the hot operations behind the
-// experiment pipeline: graph construction, feature extraction, component
-// decomposition, clustering, random routes, max-flow, alias sampling,
-// binary snapshot save/load (the regenerate-vs-reload tradeoff), the
-// service WAL's append/replay path (the durability cost per event) and
-// its CRC, streaming ingest, reorder-buffer release and flag-sweep
-// throughput, and the shard-routing decision.
+// experiment pipeline: graph construction, feature extraction, the
+// Table 1 stages (a small ground-truth simulation and one SVM training
+// fold), component decomposition, clustering, random routes, max-flow,
+// alias sampling, binary snapshot save/load (the regenerate-vs-reload
+// tradeoff), the service WAL's append/replay path (the durability cost
+// per event) and its CRC, streaming ingest, reorder-buffer release and
+// flag-sweep throughput, and the shard-routing decision.
 //
 // `--json <path>` additionally writes a compact machine-readable
 // series — one entry per benchmark with its real time and derived
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/features.h"
+#include "core/ground_truth.h"
 #include "core/reorder_buffer.h"
 #include "core/stream_detector.h"
 #include "detectors/incremental_rank.h"
@@ -37,6 +39,8 @@
 #include "graph/walks.h"
 #include "io/crc32.h"
 #include "io/graph_snapshot.h"
+#include "ml/scaler.h"
+#include "ml/svm.h"
 #include "stats/distributions.h"
 #include "stats/rng.h"
 
@@ -278,6 +282,55 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction);
 
+// --- Table 1 pipeline: ground-truth simulation and SVM training -----
+
+/// One small ground-truth simulation, start to finish (friend requests
+/// sent per second): the simulator stage of the Table 1 pipeline.
+void BM_GroundTruthRun(benchmark::State& state) {
+  osn::GroundTruthConfig cfg;
+  cfg.background_users = 3'000;
+  cfg.subject_normals = 120;
+  cfg.subject_sybils = 120;
+  cfg.sim_hours = 200.0;
+  std::uint64_t requests = 0;
+  for (auto _ : state) {
+    osn::GroundTruthSimulator sim(cfg);
+    sim.run();
+    const osn::Network& net = sim.network();
+    for (graph::NodeId id = 0; id < net.account_count(); ++id) {
+      requests += net.ledger(id).sent();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(requests));
+}
+BENCHMARK(BM_GroundTruthRun)->Unit(benchmark::kMillisecond);
+
+/// One Table 1 fold: SMO training of the default RBF SVM on n = 400
+/// standardised four-feature rows (200 normal and 200 Sybil subjects
+/// of a 20k-user ground-truth simulation).
+void BM_SvmTrain(benchmark::State& state) {
+  static const ml::Dataset* fold = [] {
+    osn::GroundTruthConfig cfg;
+    cfg.background_users = 20'000;
+    cfg.subject_normals = 200;
+    cfg.subject_sybils = 200;
+    cfg.sim_hours = 200.0;
+    osn::GroundTruthSimulator sim(cfg);
+    sim.run();
+    const ml::Dataset raw = core::build_ground_truth_dataset(
+        sim.network(), sim.subject_normals(), sim.subject_sybils());
+    ml::StandardScaler scaler;
+    scaler.fit(raw);
+    return new ml::Dataset(scaler.transform(raw));
+  }();
+  for (auto _ : state) {
+    const ml::SvmModel model = ml::SvmModel::train(*fold, ml::SvmParams{});
+    benchmark::DoNotOptimize(model.bias());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SvmTrain)->Unit(benchmark::kMillisecond);
+
 // --- Service WAL: append and replay throughput ---------------------
 
 std::string wal_bench_dir() {
@@ -392,29 +445,9 @@ core::DetectorOptions service_bench_options() {
   return d;
 }
 
-/// Hardened-ingest *insert* throughput (events/sec over a 20k-account,
-/// 100k-event synthetic feed). The 48 h feed never passes the 48 h
-/// reorder watermark, so no event applies inside the timed loop: this
-/// times validation, dedup and reorder-buffer inserts only. Name kept
-/// for series continuity; BM_StreamIngestApply times detection.
-void BM_ServiceIngest(benchmark::State& state) {
-  const auto& events = service_bench_events();
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::StreamDetector detector(service_bench_options());
-    state.ResumeTiming();
-    std::uint64_t seq = 0;
-    for (const auto& e : events) detector.ingest(e, seq++);
-    benchmark::DoNotOptimize(detector.applied_total());
-    n += events.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ServiceIngest);
-
-/// Ingest plus finish() over the same feed, so every event is released
-/// and applied: the streaming detector's end-to-end events/sec.
+/// Hardened ingest plus finish() over a 20k-account, 100k-event
+/// synthetic feed, so every event is released and applied: the
+/// streaming detector's end-to-end events/sec.
 void BM_StreamIngestApply(benchmark::State& state) {
   const auto& events = service_bench_events();
   std::uint64_t n = 0;
@@ -622,7 +655,9 @@ class JsonSeriesReporter : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       Entry e;
       e.name = run.benchmark_name();
-      e.real_time_ns = run.GetAdjustedRealTime();
+      // Adjusted times are in the run's display unit; the series is ns.
+      e.real_time_ns = run.GetAdjustedRealTime() * 1e9 /
+                       benchmark::GetTimeUnitMultiplier(run.time_unit);
       // Counters reach reporters already finalized: kIsRate values are
       // per-second rates, not raw totals.
       const auto items = run.counters.find("items_per_second");

@@ -1,20 +1,27 @@
-// Open-addressing set of 64-bit keys for the streaming hot path.
+// Open-addressing set of 64-bit keys for the streaming hot path and the
+// simulator's request dedup.
 //
 // StreamDetector does two set probes per ingested event (sequence dedup
-// and edge dedup). node-based std::unordered_set pays a heap allocation
-// per insert and a pointer chase per probe; this flat table keeps keys
-// in one contiguous power-of-two array with linear probing, so a probe
-// is a hash, a mask and a short cache-line scan. Deletion uses backward
-// shifting, so no tombstones accumulate (seen_seqs_ is pruned
-// continuously as the watermark advances).
+// and edge dedup), and osn::Network one per friend request (the
+// all-time directed-pair dedup). node-based std::unordered_set pays a
+// heap allocation per insert and a pointer chase per probe; this flat
+// table keeps keys in one contiguous power-of-two array with linear
+// probing, so a probe is a hash, a mask and a short cache-line scan.
+// Deletion uses backward shifting, so no tombstones accumulate
+// (seen_seqs_ is pruned continuously as the watermark advances).
+//
+// Header-only and std-only, so it sits beside the layer stack like
+// core/metrics (docs/ARCHITECTURE.md): osn includes it without linking
+// sybil_core.
 //
 // The all-ones key (which the detector reserves as a sentinel anyway,
 // but edge keys could produce) is representable: it is tracked by a
 // side flag instead of occupying a slot, because ~0 marks empty slots.
 //
 // Iteration order is unspecified — every serialization site sorts into
-// a vector before writing (see detector_state.cpp), so checkpoints are
-// byte-identical regardless of insertion history.
+// a vector before writing (see detector_state.cpp and
+// osn/checkpoint.cpp), so checkpoints are byte-identical regardless of
+// insertion history.
 #pragma once
 
 #include <bit>

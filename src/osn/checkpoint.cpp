@@ -458,10 +458,11 @@ std::unique_ptr<GroundTruthSimulator> CheckpointAccess::load(
                           "requested section count mismatch");
     }
     net.requested_.reserve(keys.size());
-    net.requested_.insert(keys.begin(), keys.end());
-    if (net.requested_.size() != keys.size()) {
-      throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                          "requested section holds duplicate keys");
+    for (const std::uint64_t key : keys) {
+      if (!net.requested_.insert(key)) {
+        throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                            "requested section holds duplicate keys");
+      }
     }
   }
   {

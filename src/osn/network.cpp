@@ -32,7 +32,7 @@ RequestResult Network::send_request(NodeId from, NodeId to, Time now,
     return RequestResult::kPartyBanned;
   }
   if (graph_.has_edge(from, to)) return RequestResult::kAlreadyFriends;
-  if (!requested_.insert(pair_key(from, to)).second) {
+  if (!requested_.insert(pair_key(from, to))) {
     return RequestResult::kDuplicate;
   }
   ledgers_[from].record_sent(now);

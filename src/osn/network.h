@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
+#include "core/flat_set.h"
 #include "graph/graph.h"
 #include "osn/account.h"
 #include "osn/events.h"
@@ -101,7 +101,7 @@ class Network {
   std::vector<RequestLedger> ledgers_;
   graph::TimestampedGraph graph_;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> pending_;
-  std::unordered_set<std::uint64_t> requested_;  // all-time directed dedup
+  core::FlatSet64 requested_;  // all-time directed dedup
   EventLog log_;
 };
 

@@ -25,6 +25,25 @@ constexpr core::ServiceTier tier_from_flags(std::uint32_t flags) noexcept {
                                         WalRecordFlags::kTierShift);
 }
 
+enum class ShedKind { kLowPriority, kSweepOnly, kCapacity };
+
+/// The one shed verdict -> counter map: the capacity bit, else the
+/// sweep-only tier, else low priority. offer() and the WAL replay in
+/// start() both count through it, so a replayed shed record advances
+/// exactly the counter it advanced live.
+inline ShedKind count_shed(ServiceCounters& c, std::uint32_t flags) noexcept {
+  if ((flags & WalRecordFlags::kCapacity) != 0) {
+    ++c.shed_capacity;
+    return ShedKind::kCapacity;
+  }
+  if (tier_from_flags(flags) == core::ServiceTier::kSweepOnly) {
+    ++c.shed_sweep_only;
+    return ShedKind::kSweepOnly;
+  }
+  ++c.shed_low_priority;
+  return ShedKind::kLowPriority;
+}
+
 /// Kinds shed at ServiceTier::kShedLowPriority — bookkeeping events
 /// whose loss degrades feature freshness but cannot lose a verdict
 /// (the request/accept/reject flow and bans still land).
@@ -122,6 +141,18 @@ struct ServiceSupervisor::Metrics {
   Level reorder_buffered;
   Level queue_depth;
   Level tier;
+
+  Count& shed(ShedKind kind) noexcept {
+    switch (kind) {
+      case ShedKind::kCapacity:
+        return shed_capacity;
+      case ShedKind::kSweepOnly:
+        return shed_sweep_only;
+      case ShedKind::kLowPriority:
+        break;
+    }
+    return shed_low_priority;
+  }
 
   explicit Metrics(const ServiceOptions& o) {
     auto& reg = core::metrics::MetricsRegistry::instance();
@@ -341,13 +372,7 @@ RecoveryReport ServiceSupervisor::start() {
       next_seq_ = std::max(next_seq_, r.seq + 1);
     }
     if (r.shed()) {
-      if ((r.flags & WalRecordFlags::kCapacity) != 0) {
-        ++counters_.shed_capacity;
-      } else if (tier_from_flags(r.flags) == core::ServiceTier::kSweepOnly) {
-        ++counters_.shed_sweep_only;
-      } else {
-        ++counters_.shed_low_priority;
-      }
+      count_shed(counters_, r.flags);
     } else {
       queue_.push_back(r);
       ++counters_.admitted;
@@ -470,16 +495,8 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
   ++counters_.offered;
   if (seq < kExplicitSeqLimit) next_seq_ = std::max(next_seq_, seq + 1);
   if (shed) {
-    if (capacity) {
-      ++counters_.shed_capacity;
-      SYBIL_SERVICE_METRIC(shed_capacity.add(1));
-    } else if (tier_ == core::ServiceTier::kSweepOnly) {
-      ++counters_.shed_sweep_only;
-      SYBIL_SERVICE_METRIC(shed_sweep_only.add(1));
-    } else {
-      ++counters_.shed_low_priority;
-      SYBIL_SERVICE_METRIC(shed_low_priority.add(1));
-    }
+    [[maybe_unused]] const ShedKind kind = count_shed(counters_, flags);
+    SYBIL_SERVICE_METRIC(shed(kind).add(1));
   } else {
     queue_.push_back(WalRecord{index, seq, e, flags});
     ++counters_.admitted;

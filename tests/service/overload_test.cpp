@@ -176,6 +176,61 @@ TEST_F(ServiceOverload, StatsJsonCarriesShedBreakdownAndTier) {
       << json;
 }
 
+// offer() and the WAL replay in start() must map each shed verdict to
+// the same counter. Shed events of all three kinds, restart from the
+// WAL (all of it, or the suffix after a checkpoint taken between the
+// sheds) and compare the counters with the live run's, field by field.
+TEST_F(ServiceOverload, WalReplayRecountsEveryShedKind) {
+  for (const bool checkpoint_between : {false, true}) {
+    SCOPED_TRACE(checkpoint_between ? "checkpoint + suffix" : "full WAL");
+    const std::string dir =
+        fresh_dir(checkpoint_between ? "replay_ckpt" : "replay_cold");
+    const osn::Event created{osn::EventType::kAccountCreated, 9, 9, 0.0};
+    ServiceCounters live;
+    core::ServiceTier live_tier;
+    std::size_t live_depth;
+    {
+      ServiceSupervisor s(tiny_options(dir));
+      s.start();
+      double t = 0.0;
+      for (int i = 0; i < 5; ++i) EXPECT_TRUE(s.offer(request_at(t += 0.01)));
+      EXPECT_FALSE(s.offer(created));  // shed-low-priority tier
+      if (checkpoint_between) s.checkpoint_now();
+      EXPECT_TRUE(s.offer(request_at(t += 0.01)));   // depth 6
+      EXPECT_FALSE(s.offer(request_at(t += 0.01)));  // sweep-only tier
+      EXPECT_FALSE(s.offer(created));
+      EXPECT_TRUE(s.offer(ban_of(3, t += 0.01)));
+      EXPECT_TRUE(s.offer(ban_of(4, t += 0.01)));    // depth 8
+      EXPECT_FALSE(s.offer(request_at(t += 0.01)));  // at capacity
+      EXPECT_FALSE(s.offer(created));
+      EXPECT_ACCOUNTED(s);
+      live = s.counters();
+      live_tier = s.tier();
+      live_depth = s.queue_depth();
+    }
+    EXPECT_EQ(live.shed_low_priority, 1u);
+    EXPECT_EQ(live.shed_sweep_only, 2u);
+    EXPECT_EQ(live.shed_capacity, 2u);
+
+    ServiceSupervisor restarted(tiny_options(dir));
+    const RecoveryReport report = restarted.start();
+    EXPECT_EQ(report.cold_start, !checkpoint_between);
+    EXPECT_GT(report.records_replayed, 0u);
+    const ServiceCounters& replayed = restarted.counters();
+    EXPECT_EQ(replayed.offered, live.offered);
+    EXPECT_EQ(replayed.admitted, live.admitted);
+    EXPECT_EQ(replayed.pumped, live.pumped);
+    EXPECT_EQ(replayed.shed_low_priority, live.shed_low_priority);
+    EXPECT_EQ(replayed.shed_sweep_only, live.shed_sweep_only);
+    EXPECT_EQ(replayed.shed_capacity, live.shed_capacity);
+    EXPECT_EQ(replayed.sweeps, live.sweeps);
+    EXPECT_EQ(replayed.sweep_flagged, live.sweep_flagged);
+    EXPECT_EQ(restarted.tier(), live_tier);
+    EXPECT_EQ(restarted.queue_depth(), live_depth);
+    EXPECT_ACCOUNTED(restarted);
+  }
+}
+
 TEST_F(ServiceOverload, ValidatesOverloadAndServiceOptions) {
   core::DetectorOptions d;
   d.overload.resume_watermark = d.overload.shed_watermark;  // no hysteresis
