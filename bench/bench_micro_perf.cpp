@@ -9,16 +9,22 @@
 //
 // `--json <path>` additionally writes a compact machine-readable
 // series — one entry per benchmark with its real time and derived
-// rates — which CI diffs against the committed BENCH_micro.json
-// baseline. All other flags pass through to google-benchmark.
+// rates, under a "context" fingerprint of the machine and build (nproc,
+// CPU model, build type, compiler) — which CI diffs against the
+// committed BENCH_micro.json baseline. `--baseline` refuses a baseline
+// whose fingerprint differs: wall-clock deltas across machines or
+// builds are not regressions. All other flags pass through to
+// google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -465,6 +471,43 @@ void BM_StreamIngestApply(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamIngestApply);
 
+/// BM_StreamIngestApply for shard 1 of 4: the copies a 4-shard router
+/// delivers to that shard (with their global seqs), applied by a
+/// detector that owns a quarter of the ids (`1_of_4`) or by one that
+/// keeps every account, as each shard once did (`1_of_4_replicated`).
+/// Items are copies, so the two rates give the per-copy saving of
+/// owner-only shard state.
+void BM_StreamIngestApplyShard(benchmark::State& state, bool owner_only) {
+  using Copy = std::pair<osn::Event, std::uint64_t>;
+  static const std::vector<Copy> copies = [] {
+    std::vector<Copy> out;
+    std::uint64_t seq = 0;
+    for (const auto& e : service_bench_events()) {
+      const service::RoutePlan plan = service::plan_route(e, 4);
+      if (plan.broadcast || plan.target[0] == 1 ||
+          (plan.count == 2 && plan.target[1] == 1)) {
+        out.emplace_back(e, seq);
+      }
+      ++seq;
+    }
+    return out;
+  }();
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::StreamDetector detector(service_bench_options(), owner_only ? 1 : 0,
+                                  owner_only ? 4 : 1);
+    state.ResumeTiming();
+    for (const auto& [e, seq] : copies) detector.ingest(e, seq);
+    detector.finish();
+    benchmark::DoNotOptimize(detector.applied_total());
+    n += copies.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_StreamIngestApplyShard, 1_of_4, true);
+BENCHMARK_CAPTURE(BM_StreamIngestApplyShard, 1_of_4_replicated, false);
+
 /// Steady-state reorder-buffer release (entries/sec): the buffer holds a
 /// 256k-entry window, and each step inserts one arrival and releases
 /// the smallest entry. `in_order` arrivals extend the sorted run;
@@ -643,6 +686,49 @@ BENCHMARK(BM_IncrementalRank)->Arg(0)->Arg(1);
 
 // --- Compact JSON series for CI baselines ---------------------------
 
+/// What a series was measured on, one value per kFields name. Two
+/// series compare only when every value matches.
+struct Fingerprint {
+  static constexpr std::array<const char*, 4> kFields = {
+      "nproc", "cpu_model", "build_type", "compiler"};
+  std::array<std::string, kFields.size()> values;
+  bool operator==(const Fingerprint&) const = default;
+};
+
+/// Keeps a value printable inside a JSON string without escaping.
+std::string json_safe(std::string s) {
+  for (char& c : s) {
+    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+      c = '?';
+    }
+  }
+  return s;
+}
+
+Fingerprint this_machine() {
+  std::string cpu_model = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      const char* colon = std::strchr(line, ':');
+      if (colon == nullptr) continue;
+      std::string model = colon + 1;
+      const auto first = model.find_first_not_of(" \t");
+      const auto last = model.find_last_not_of(" \t\r\n");
+      if (first != std::string::npos) {
+        cpu_model = model.substr(first, last - first + 1);
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+  Fingerprint fp{{std::to_string(std::thread::hardware_concurrency()),
+                  cpu_model, SYBIL_BENCH_BUILD_TYPE, SYBIL_BENCH_COMPILER}};
+  for (std::string& v : fp.values) v = json_safe(v);
+  return fp;
+}
+
 /// Console output plus a collected {name, real_time, rates} record per
 /// run, written as compact JSON. Wall-clock numbers are machine-scoped:
 /// the committed baseline freezes the *schema* and the machine class it
@@ -673,10 +759,15 @@ class JsonSeriesReporter : public benchmark::ConsoleReporter {
   }
 
   /// Writes the collected series; returns false on I/O failure.
-  bool write_json(const std::string& path) const {
+  bool write_json(const std::string& path, const Fingerprint& fp) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
+    std::fprintf(f, "{\n  \"context\": {");
+    for (std::size_t i = 0; i < fp.values.size(); ++i) {
+      std::fprintf(f, "%s\"%s\": \"%s\"", i > 0 ? ", " : "",
+                   Fingerprint::kFields[i], fp.values[i].c_str());
+    }
+    std::fprintf(f, "},\n  \"benchmarks\": [\n");
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       std::fprintf(f, "    {\"name\": \"%s\", \"real_time_ns\": %.1f",
@@ -708,12 +799,21 @@ class JsonSeriesReporter : public benchmark::ConsoleReporter {
 
 // --- Baseline diffing (--baseline <json>) ---------------------------
 
-/// Parses the exact format write_json() emits (one object per line in
-/// the "benchmarks" array). Not a general JSON parser on purpose: the
-/// baseline is a machine artifact this binary wrote.
-std::vector<JsonSeriesReporter::Entry> load_baseline(
-    const std::string& path) {
-  std::vector<JsonSeriesReporter::Entry> out;
+/// A parsed baseline file. `has_context` is false for series written
+/// before the fingerprint existed.
+struct Baseline {
+  bool has_context = false;
+  Fingerprint context;
+  std::vector<JsonSeriesReporter::Entry> entries;
+};
+
+/// Parses the exact format write_json() emits (the context object on
+/// one line, then one object per line in the "benchmarks" array). Not a
+/// general JSON parser on purpose: the baseline is a machine artifact
+/// this binary wrote.
+Baseline load_baseline(const std::string& path) {
+  Baseline baseline;
+  std::vector<JsonSeriesReporter::Entry>& out = baseline.entries;
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_micro_perf: cannot read baseline %s\n",
@@ -727,7 +827,28 @@ std::vector<JsonSeriesReporter::Entry> load_baseline(
     p = std::strchr(p + std::strlen(key), ':');
     if (p != nullptr) value = std::strtod(p + 1, nullptr);
   };
+  const auto text_field = [](const char* s, const char* key,
+                              std::string& value) {
+    const std::string quoted = std::string("\"") + key + "\": \"";
+    const char* p = std::strstr(s, quoted.c_str());
+    if (p == nullptr) return false;
+    p += quoted.size();
+    const char* end = std::strchr(p, '"');
+    if (end == nullptr) return false;
+    value.assign(p, end);
+    return true;
+  };
   while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strstr(line, "\"context\"") != nullptr) {
+      baseline.has_context = true;
+      for (std::size_t i = 0; i < Fingerprint::kFields.size(); ++i) {
+        baseline.has_context =
+            text_field(line, Fingerprint::kFields[i],
+                       baseline.context.values[i]) &&
+            baseline.has_context;
+      }
+      continue;
+    }
     const char* name = std::strstr(line, "\"name\"");
     if (name == nullptr) continue;
     const char* open = std::strchr(name + 6, '"');
@@ -741,7 +862,36 @@ std::vector<JsonSeriesReporter::Entry> load_baseline(
     out.push_back(std::move(e));
   }
   std::fclose(f);
-  return out;
+  return baseline;
+}
+
+/// Refuses (exit 4) a baseline measured on another machine or build, or
+/// one without a fingerprint, naming every field that differs.
+void require_same_fingerprint(const Baseline& baseline,
+                              const std::string& path,
+                              const Fingerprint& current) {
+  if (!baseline.has_context) {
+    std::fprintf(stderr,
+                 "bench_micro_perf: baseline %s has no \"context\" "
+                 "fingerprint; re-measure it on this machine with "
+                 "--json\n",
+                 path.c_str());
+    std::exit(4);
+  }
+  if (baseline.context == current) return;
+  std::fprintf(stderr,
+               "bench_micro_perf: baseline %s fingerprint does not match "
+               "this machine and build; refusing to compare "
+               "(re-measure it here with --json):\n",
+               path.c_str());
+  for (std::size_t i = 0; i < Fingerprint::kFields.size(); ++i) {
+    const std::string& base = baseline.context.values[i];
+    if (base == current.values[i]) continue;
+    std::fprintf(stderr, "  %-10s baseline \"%s\", here \"%s\"\n",
+                 Fingerprint::kFields[i], base.c_str(),
+                 current.values[i].c_str());
+  }
+  std::exit(4);
 }
 
 /// Prints the per-benchmark delta table and returns how many tracked
@@ -800,7 +950,8 @@ int main(int argc, char** argv) {
   // Strip our own flags before google-benchmark sees the argv:
   //   --json <path>               write the compact series
   //   --baseline <json>           diff against a committed series and
-  //                               exit non-zero on regression
+  //                               exit non-zero on regression (3) or
+  //                               on a fingerprint mismatch (4)
   //   --regress-threshold <frac>  tolerated fractional drop (default 0.15)
   std::string json_path;
   std::string baseline_path;
@@ -826,19 +977,25 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const Fingerprint here = this_machine();
+  Baseline baseline;
+  if (!baseline_path.empty()) {
+    // Before any benchmark runs: a foreign baseline is refused at once.
+    baseline = load_baseline(baseline_path);
+    require_same_fingerprint(baseline, baseline_path, here);
+  }
   JsonSeriesReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!json_path.empty() && !reporter.write_json(json_path)) {
+  if (!json_path.empty() && !reporter.write_json(json_path, here)) {
     std::fprintf(stderr, "bench_micro_perf: cannot write %s\n",
                  json_path.c_str());
     return 1;
   }
-  if (!baseline_path.empty()) {
-    const auto baseline = load_baseline(baseline_path);
-    if (diff_against_baseline(baseline, reporter.entries(), threshold) > 0) {
-      return 3;
-    }
+  if (!baseline_path.empty() &&
+      diff_against_baseline(baseline.entries, reporter.entries(), threshold) >
+          0) {
+    return 3;
   }
   return 0;
 }

@@ -119,14 +119,18 @@ struct DetectorStateAccess {
     ByteWriter w;
     w.write(kDetectorStateVersion);
 
+    // The record of an account another shard owns is the default one;
+    // only its ban byte is real.
     w.write(static_cast<std::uint64_t>(d.accounts_.size()));
-    for (const StreamDetector::AccountState& acc : d.accounts_) {
+    for (std::size_t id = 0; id < d.accounts_.size(); ++id) {
+      const StreamDetector::AccountState& acc = d.accounts_[id];
       write_ledger(w, acc.ledger);
       w.write(static_cast<std::uint64_t>(acc.first_friends.size()));
       for (osn::NodeId f : acc.first_friends) w.write(f);
       w.write(acc.internal_links);
       w.write(static_cast<std::uint8_t>(acc.flagged ? 1 : 0));
-      w.write(static_cast<std::uint8_t>(acc.banned ? 1 : 0));
+      w.write(static_cast<std::uint8_t>(
+          (d.status_[id] & StreamDetector::kBanned) != 0 ? 1 : 0));
     }
     for (const auto& watchers : d.watchers_) {
       w.write(static_cast<std::uint64_t>(watchers.size()));
@@ -192,15 +196,23 @@ struct DetectorStateAccess {
     check_version(r.read<std::uint32_t>(), "stream detector");
 
     const std::uint64_t n_accounts = read_count(r, "account");
+    // Loaded as written. A checkpoint from before shards kept owner-only
+    // state also holds non-owned records (and watcher entries); no
+    // verdict reads them again.
     d.accounts_.assign(n_accounts, StreamDetector::AccountState{});
-    for (auto& acc : d.accounts_) {
+    d.status_.assign(n_accounts, 0);
+    for (std::size_t id = 0; id < n_accounts; ++id) {
+      StreamDetector::AccountState& acc = d.accounts_[id];
       acc.ledger = read_ledger(r);
       const std::uint64_t n_friends = read_count(r, "first-friend");
       acc.first_friends.resize(n_friends);
       for (auto& f : acc.first_friends) f = r.read<osn::NodeId>();
       acc.internal_links = r.read<std::uint32_t>();
       acc.flagged = r.read<std::uint8_t>() != 0;
-      acc.banned = r.read<std::uint8_t>() != 0;
+      const bool banned = r.read<std::uint8_t>() != 0;
+      d.status_[id] = static_cast<std::uint8_t>(
+          (d.owns(static_cast<osn::NodeId>(id)) ? StreamDetector::kOwned : 0) |
+          (banned ? StreamDetector::kBanned : 0));
     }
     d.watchers_.assign(n_accounts, {});
     for (auto& watchers : d.watchers_) {

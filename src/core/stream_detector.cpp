@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "core/metrics/instrument.h"
@@ -22,12 +23,20 @@ constexpr std::uint64_t kAutoSeqBase = std::uint64_t{1} << 63;
 
 }  // namespace
 
-StreamDetector::StreamDetector(const DetectorOptions& options)
+StreamDetector::StreamDetector(const DetectorOptions& options,
+                               std::uint32_t shard_id,
+                               std::uint32_t shard_count)
     : options_([&] {
         options.validate();  // reject nonsense before any member is built
+        if (shard_id >= shard_count) {
+          throw std::invalid_argument(
+              "StreamDetector: shard_id must be < shard_count");
+        }
         return options;
       }()),
       detector_(options.rule),
+      shard_id_(shard_id),
+      shard_count_(shard_count),
       high_watermark_(-std::numeric_limits<graph::Time>::infinity()),
       next_auto_seq_(kAutoSeqBase) {
   // Pre-register the dead-letter reason counters so every metrics
@@ -45,8 +54,11 @@ StreamDetector::StreamDetector(const DetectorOptions& options)
 
 void StreamDetector::ensure(osn::NodeId id) {
   if (id >= accounts_.size()) {
+    const osn::NodeId first_new = static_cast<osn::NodeId>(accounts_.size());
     accounts_.resize(id + 1);
     watchers_.resize(id + 1);
+    status_.resize(id + 1);
+    for (osn::NodeId i = first_new; i <= id; ++i) status_[i] = owns(i) ? kOwned : 0;
     SYBIL_METRIC_GAUGE_SET("stream.accounts_seen", accounts_.size());
   }
 }
@@ -55,14 +67,15 @@ void StreamDetector::on_request_sent(osn::NodeId from, osn::NodeId to,
                                      graph::Time t) {
   SYBIL_METRIC_COUNT("stream.events.request_sent", 1);
   ensure(std::max(from, to));
-  const bool from_banned = accounts_[from].banned;
-  const bool to_banned = accounts_[to].banned;
-  if (from_banned || to_banned) {
+  const std::uint8_t from_status = status_[from];
+  const std::uint8_t to_status = status_[to];
+  if ((from_status | to_status) & kBanned) {
     ++banned_party_total_;
     SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
   }
-  if (!from_banned) accounts_[from].ledger.record_sent(t);
-  if (!to_banned) accounts_[to].ledger.record_received();
+  // kOwned alone: owned and not banned.
+  if (from_status == kOwned) accounts_[from].ledger.record_sent(t);
+  if (to_status == kOwned) accounts_[to].ledger.record_received();
   maybe_flag(from, t);
 }
 
@@ -70,7 +83,7 @@ void StreamDetector::on_request_rejected(osn::NodeId from, osn::NodeId to,
                                          graph::Time t) {
   SYBIL_METRIC_COUNT("stream.events.request_rejected", 1);
   ensure(std::max(from, to));
-  if (accounts_[from].banned || accounts_[to].banned) {
+  if ((status_[from] | status_[to]) & kBanned) {
     ++banned_party_total_;
     SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
   }
@@ -84,18 +97,18 @@ void StreamDetector::on_request_accepted(osn::NodeId from, osn::NodeId to,
                                          graph::Time t) {
   SYBIL_METRIC_COUNT("stream.events.request_accepted", 1);
   ensure(std::max(from, to));
-  const bool from_banned = accounts_[from].banned;
-  const bool to_banned = accounts_[to].banned;
-  if (from_banned || to_banned) {
+  const std::uint8_t from_status = status_[from];
+  const std::uint8_t to_status = status_[to];
+  if ((from_status | to_status) & kBanned) {
     ++banned_party_total_;
     SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
   }
-  if (!from_banned) accounts_[from].ledger.record_sent_accepted();
-  if (!to_banned) accounts_[to].ledger.record_received_accepted();
+  if (from_status == kOwned) accounts_[from].ledger.record_sent_accepted();
+  if (to_status == kOwned) accounts_[to].ledger.record_received_accepted();
   // No friendship materializes with a banned party: the platform
   // removes a banned account's edges, so installing one would leak
   // state the batch path can never see.
-  if (!from_banned && !to_banned) add_edge(from, to, t);
+  if (((from_status | to_status) & kBanned) == 0) add_edge(from, to, t);
   maybe_flag(from, t);
   maybe_flag(to, t);
 }
@@ -104,7 +117,7 @@ void StreamDetector::on_friendship(osn::NodeId u, osn::NodeId v,
                                    graph::Time t) {
   SYBIL_METRIC_COUNT("stream.events.friendship", 1);
   ensure(std::max(u, v));
-  if (accounts_[u].banned || accounts_[v].banned) {
+  if ((status_[u] | status_[v]) & kBanned) {
     ++banned_party_total_;
     SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
     return;
@@ -115,10 +128,11 @@ void StreamDetector::on_friendship(osn::NodeId u, osn::NodeId v,
 void StreamDetector::on_account_banned(osn::NodeId who) {
   SYBIL_METRIC_COUNT("stream.events.account_banned", 1);
   ensure(who);
-  accounts_[who].banned = true;
+  status_[who] |= kBanned;
 }
 
 void StreamDetector::attach_friend(osn::NodeId u, osn::NodeId v) {
+  if ((status_[u] & kOwned) == 0) return;
   AccountState& acc = accounts_[u];
   if (acc.first_friends.size() >= options_.first_friends) return;
   // Count existing links between the newcomer and the already-watched
@@ -134,7 +148,8 @@ void StreamDetector::add_edge(osn::NodeId u, osn::NodeId v, graph::Time) {
   if (u == v || !edges_.insert(edge_key(u, v))) return;
 
   // Accounts (other than the endpoints) watching BOTH endpoints gain an
-  // internal link. Scan the smaller watcher list.
+  // internal link. Scan the smaller watcher list; only owned accounts
+  // watch, so a shard scans only its own share.
   const auto& wa = watchers_[u].size() <= watchers_[v].size() ? watchers_[u]
                                                               : watchers_[v];
   const osn::NodeId other =
@@ -180,8 +195,11 @@ SybilFeatures StreamDetector::features(osn::NodeId account) const {
 }
 
 void StreamDetector::maybe_flag(osn::NodeId id, graph::Time t) {
+  if (status_[id] != kOwned) return;  // another shard's, or banned
   AccountState& acc = accounts_[id];
-  if (acc.flagged || acc.banned) return;
+  // Below min_requests no feature value can flag the account, so skip
+  // computing them: most accounts most of the time.
+  if (acc.flagged || !detector_.enough_requests(acc.ledger.sent())) return;
   const SybilFeatures f = features(id);
   if (detector_.is_sybil(f, acc.ledger.sent())) {
     acc.flagged = true;
@@ -200,9 +218,7 @@ FlagBatch StreamDetector::take_flagged() {
 std::size_t StreamDetector::sweep_flags(graph::Time now) {
   SYBIL_METRIC_SCOPED_TIMER(span, "stream.sweep_flags");
   const std::size_t before = newly_flagged_.size();
-  for (osn::NodeId id = 0; id < accounts_.size(); ++id) {
-    maybe_flag(id, now);
-  }
+  for (osn::NodeId id = 0; id < status_.size(); ++id) maybe_flag(id, now);
   return newly_flagged_.size() - before;
 }
 

@@ -34,6 +34,15 @@
 // features exactly (tested in stream_detector_test.cpp), so a deployment
 // can run either path and trust they agree.
 //
+// Sharding: a detector may be one shard of N (ServiceOptions::shard_id/
+// shard_count). It then keeps ledgers, first-K friend lists, watcher
+// entries and flags only for the accounts it owns (core::shard_of), and
+// sweeps only those; every other account's record stays at its default.
+// Two things stay global on every shard: the edge set, because an owned
+// account attaching friend v must count edges that formed before anyone
+// on this shard watched v, and the ban bits, which gate every handler.
+// At one shard every account is owned.
+//
 // Observability: every event handler bumps a "stream.events.*" counter,
 // and flags bump "stream.flagged"; the hardened path adds
 // "stream.ingest.*" and "stream.deadletter.*" counters. Collection
@@ -48,6 +57,7 @@
 #include "core/detector_options.h"
 #include "core/features.h"
 #include "core/flat_set.h"
+#include "core/ownership.h"
 #include "core/reorder_buffer.h"
 #include "core/stream_error.h"
 #include "core/threshold_detector.h"
@@ -59,8 +69,12 @@ namespace sybil::core {
 class StreamDetector {
  public:
   StreamDetector() : StreamDetector(DetectorOptions{}) {}
-  /// Throws std::invalid_argument if `options` fails validate().
-  explicit StreamDetector(const DetectorOptions& options);
+  /// Shard `shard_id` of `shard_count` (the whole population by
+  /// default). Throws std::invalid_argument if `options` fails
+  /// validate() or shard_id >= shard_count.
+  explicit StreamDetector(const DetectorOptions& options,
+                          std::uint32_t shard_id = 0,
+                          std::uint32_t shard_count = 1);
 
   /// Trusted event-stream entry points. Events must arrive in
   /// nondecreasing time order per account (the order a platform log
@@ -145,19 +159,24 @@ class StreamDetector {
   }
 
   /// Current streaming features of an account (zero-state for accounts
-  /// never seen).
+  /// never seen, and for accounts this shard does not own).
   SybilFeatures features(osn::NodeId account) const;
 
-  /// Accounts newly crossing the threshold rule since the last call,
-  /// with their features captured at flag time; each account is
+  /// Whether this detector keeps `account`'s per-account state.
+  bool owns(osn::NodeId account) const noexcept {
+    return shard_of(account, shard_count_) == shard_id_;
+  }
+
+  /// Owned accounts newly crossing the threshold rule since the last
+  /// call, with their features captured at flag time; each account is
   /// reported at most once, banned accounts never.
   FlagBatch take_flagged();
 
-  /// Re-evaluates every known account against the rule and stamps new
-  /// flags with `now` — the flag-sweep-only degradation tier's periodic
-  /// pass, which must keep emitting verdicts from existing evidence
-  /// even while feature ingestion is shed. Returns how many accounts
-  /// were newly flagged (retrieve them via take_flagged()).
+  /// Re-evaluates every known owned account against the rule and stamps
+  /// new flags with `now` — the flag-sweep-only degradation tier's
+  /// periodic pass, which must keep emitting verdicts from existing
+  /// evidence even while feature ingestion is shed. Returns how many
+  /// accounts were newly flagged (retrieve them via take_flagged()).
   std::size_t sweep_flags(graph::Time now);
 
   const ThresholdRule& rule() const noexcept { return detector_.rule(); }
@@ -170,13 +189,18 @@ class StreamDetector {
   /// that never stopped. Kept out of the public API on purpose.
   friend struct DetectorStateAccess;
 
+  /// Per-account state, updated only while this shard owns the account.
   struct AccountState {
     osn::RequestLedger ledger;
     std::vector<osn::NodeId> first_friends;  // chronological, size <= K
     std::uint32_t internal_links = 0;  // edges among first_friends
     bool flagged = false;
-    bool banned = false;
   };
+
+  /// Bits of status_: kOwned is fixed when the id is first seen, kBanned
+  /// is set by on_account_banned on every shard.
+  static constexpr std::uint8_t kOwned = 1;
+  static constexpr std::uint8_t kBanned = 2;
 
   void ensure(osn::NodeId id);
   void add_edge(osn::NodeId u, osn::NodeId v, graph::Time t);
@@ -203,8 +227,13 @@ class StreamDetector {
 
   DetectorOptions options_;
   ThresholdDetector detector_;
+  std::uint32_t shard_id_;
+  std::uint32_t shard_count_;
   std::vector<AccountState> accounts_;
-  /// watchers_[v] = accounts whose first-K friend set contains v.
+  /// status_[id]: kOwned | kBanned, one byte per id, so a handler can
+  /// skip a non-owned or banned party without touching its AccountState.
+  std::vector<std::uint8_t> status_;
+  /// watchers_[v] = owned accounts whose first-K friend set contains v.
   std::vector<std::vector<osn::NodeId>> watchers_;
   /// Existing edges, for the internal-link update (canonical u<v keys).
   /// Flat open-addressing set: the ingest hot path probes it per edge

@@ -4,7 +4,7 @@ namespace sybil::core {
 
 bool ThresholdDetector::is_sybil(const SybilFeatures& f,
                                  std::uint32_t requests_sent) const {
-  if (requests_sent < rule_.min_requests) return false;
+  if (!enough_requests(requests_sent)) return false;
   return f.outgoing_accept_ratio < rule_.outgoing_accept_max &&
          f.invite_rate_short >= rule_.invite_rate_min &&
          f.clustering_coefficient < rule_.clustering_max;

@@ -30,8 +30,16 @@ class ThresholdDetector {
  public:
   explicit ThresholdDetector(ThresholdRule rule = {}) : rule_(rule) {}
 
-  /// True if the features cross all three Sybil thresholds.
+  /// True if the account has sent enough requests and the features
+  /// cross all three Sybil thresholds.
   bool is_sybil(const SybilFeatures& f, std::uint32_t requests_sent) const;
+
+  /// The min_requests guard, is_sybil's first clause. False means no
+  /// feature values can make the account a Sybil, so callers may skip
+  /// computing them.
+  bool enough_requests(std::uint32_t requests_sent) const noexcept {
+    return requests_sent >= rule_.min_requests;
+  }
 
   /// Convenience when activity counts are unavailable: assumes the
   /// min-requests guard is satisfied.

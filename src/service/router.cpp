@@ -31,17 +31,6 @@ void append_field(std::string& out, const char* key, std::uint64_t value) {
 
 }  // namespace
 
-std::uint32_t shard_of(graph::NodeId id, std::uint32_t shards) noexcept {
-  if (shards <= 1) return 0;
-  // splitmix64 finalizer: adjacent account ids land on unrelated shards,
-  // so id-assignment patterns in a feed cannot stripe one shard.
-  std::uint64_t x = static_cast<std::uint64_t>(id) + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<std::uint32_t>(x % shards);
-}
-
 RoutePlan plan_route(const osn::Event& e, std::uint32_t shards) noexcept {
   RoutePlan plan;
   switch (e.type) {
@@ -322,9 +311,10 @@ core::FlagBatch ShardRouter::take_flagged() {
     if (!shards_[i]) continue;
     core::FlagBatch batch = shards_[i]->take_flagged();
     for (const core::FlagRecord& r : batch.records) {
-      // Non-owner replicas see only the slice of an account's history
-      // that was routed to them; their flags are partial-evidence noise
-      // by design. The owner shard saw everything — keep its verdicts.
+      // A shard flags only accounts it owns, so this filter drops only
+      // pending flags restored from checkpoints written before shards
+      // kept owner-only state, when non-owners flagged accounts from
+      // the partial history routed to them. The owner saw everything.
       if (shard_of(r.account, n) == i) merged.records.push_back(r);
     }
   }

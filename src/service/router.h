@@ -24,10 +24,13 @@
 // With this routing the owner shard of any account X receives every
 // event that can mutate X's state, in global (time, seq) order, so its
 // per-account features and flag times are identical to a 1-shard run.
-// Non-owner shards hold partial replicas and may spuriously flag
-// accounts they do not own; take_flagged() keeps owner-shard records
-// only and merges them in canonical (flagged_at, account) order, which
-// is how the N-shard FlagBatch is byte-identical to the 1-shard one.
+// Each shard's detector keeps ledgers, first-K friend lists, watcher
+// entries and flags only for the accounts it owns (core::shard_of, the
+// same hash the router routes by); of the rest it keeps just the global
+// edge set and the ban bits. So only an account's owner flags it, and
+// take_flagged() merges the owners' records in canonical (flagged_at,
+// account) order, which is how the N-shard FlagBatch is byte-identical
+// to the 1-shard one.
 //
 // Exactly-once across crashes: every delivered copy lands in the target
 // shard's WAL with its global seq, so each shard's recovery exposes a
@@ -53,13 +56,14 @@
 #include <string>
 #include <vector>
 
+#include "core/ownership.h"
 #include "service/supervisor.h"
 
 namespace sybil::service {
 
-/// Owning shard of an account id: splitmix64-mixed, then reduced mod
-/// `shards`, so adjacent ids spread instead of striping.
-std::uint32_t shard_of(graph::NodeId id, std::uint32_t shards) noexcept;
+/// Owning shard of an account id (core/ownership.h): the router's
+/// copies and each shard detector's owned set use this one hash.
+using core::shard_of;
 
 /// Allocation-free routing decision for one event: either a broadcast
 /// to every shard, or up to two explicit targets (ascending, already
@@ -178,9 +182,9 @@ class ShardRouter {
   /// sequence of an undisturbed run. Returns the total pumped.
   std::size_t pump_through(std::uint64_t seq_bound);
 
-  /// Sweeps every shard (parallel per shard, like pump). Returns the
-  /// total newly flagged, *before* ownership filtering (non-owner
-  /// replicas may flag accounts the merge later drops).
+  /// Sweeps every shard (parallel per shard, like pump). Each shard
+  /// sweeps only the accounts it owns, so the returned total of newly
+  /// flagged accounts counts each account at most once.
   std::size_t sweep_flags(graph::Time now);
 
   /// Checkpoints every shard at its current WAL position.
@@ -191,10 +195,9 @@ class ShardRouter {
   /// each shard serially in ascending order, unless told not to.
   void flush(bool checkpoint = true);
 
-  /// Owner-filtered, canonically merged flags: each shard's drained
-  /// records are kept only where shard_of(account) owns them, then the
-  /// union is sorted by (flagged_at, account) — a total order, since an
-  /// account flags at most once globally after filtering.
+  /// Canonically merged flags: each shard's drained records, kept only
+  /// where shard_of(account) owns them, sorted by (flagged_at, account)
+  /// — a total order, since an account flags at most once globally.
   core::FlagBatch take_flagged();
 
   /// Takes shard `i` out of service, destroying its supervisor — the

@@ -259,7 +259,7 @@ void ServiceOptions::validate() const {
 
 ServiceSupervisor::ServiceSupervisor(const ServiceOptions& options)
     : options_((options.validate(), options)),
-      detector_(options.detector) {
+      detector_(options.detector, options.shard_id, options.shard_count) {
   if (options_.detector.defense.enabled) {
     scorer_ = std::make_unique<DefenseScorer>(options_.detector);
   }
@@ -278,7 +278,8 @@ void ServiceSupervisor::require_started(const char* what) const {
 }
 
 void ServiceSupervisor::reset_state() {
-  detector_ = core::StreamDetector(options_.detector);
+  detector_ = core::StreamDetector(options_.detector, options_.shard_id,
+                                   options_.shard_count);
   if (scorer_ != nullptr) {
     scorer_ = std::make_unique<DefenseScorer>(options_.detector);
   }

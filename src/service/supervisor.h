@@ -113,8 +113,10 @@ struct ServiceOptions {
   /// generations under <dir>/ckpt. Created on demand.
   std::string dir;
   /// Partition identity when this supervisor is one shard of a
-  /// ShardRouter (service/router.h): stamped into WAL segment headers
-  /// and checkpoints, namespaces the operational metrics as
+  /// ShardRouter (service/router.h): limits the detector's per-account
+  /// state to the accounts this shard owns (core::shard_of), is stamped
+  /// into WAL segment headers and checkpoints, namespaces the
+  /// operational metrics as
   /// "service.shard.<id>.*" (aggregated into "service.*"), and makes
   /// recovery refuse state written by any other shard. The standalone
   /// default (shard 0 of 1) keeps the PR 5 behaviour: plain "service.*"

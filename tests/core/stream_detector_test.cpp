@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "core/features.h"
 #include "core/metrics/instrument.h"
 #include "osn/simulator.h"
@@ -96,6 +100,115 @@ TEST(StreamDetector, FlagsBurstySenderOnce) {
   EXPECT_LT(flagged[0].features.outgoing_accept_ratio, 0.5);
   EXPECT_TRUE(det.take_flagged().empty());  // reported once
   EXPECT_EQ(det.flagged_total(), 1u);
+}
+
+/// The flag check returns before computing features() while an account
+/// has sent fewer than min_requests requests. Over a random stream, the
+/// accounts each event flags are exactly the re-checked ones for which
+/// is_sybil(features(id), sent) holds, including senders that stop at
+/// min_requests - 1 and at exactly min_requests; a final sweep flags
+/// exactly the rest that hold.
+TEST(StreamDetector, EarlyExitFlagCheckMatchesIsSybil) {
+  DetectorOptions cfg;
+  cfg.rule.invite_rate_min = 3.0;
+  cfg.rule.outgoing_accept_max = 0.5;
+  cfg.rule.min_requests = 6;
+  StreamDetector det(cfg);
+  const ThresholdDetector rule(cfg.rule);
+  constexpr osn::NodeId kAccounts = 48;
+  std::vector<std::uint32_t> sent(kAccounts, 0);
+  std::vector<bool> flagged(kAccounts, false);
+  double t = 0.0;
+
+  // Applies one trusted-path event and checks the flags it raised
+  // against is_sybil evaluated from scratch on every re-checked party.
+  const auto apply = [&](osn::EventType type, osn::NodeId a, osn::NodeId b) {
+    std::vector<osn::NodeId> rechecked;
+    switch (type) {
+      case osn::EventType::kRequestSent:
+        det.on_request_sent(a, b, t);
+        ++sent[a];
+        rechecked = {a};
+        break;
+      case osn::EventType::kRequestRejected:
+        det.on_request_rejected(a, b, t);
+        rechecked = {a};
+        break;
+      case osn::EventType::kRequestAccepted:
+        det.on_request_accepted(a, b, t);
+        rechecked = {a, b};
+        break;
+      default:
+        det.on_friendship(a, b, t);
+        break;
+    }
+    std::vector<osn::NodeId> want;
+    for (osn::NodeId x : rechecked) {
+      if (!flagged[x] && rule.is_sybil(det.features(x), sent[x])) {
+        want.push_back(x);
+      }
+    }
+    std::vector<osn::NodeId> got;
+    for (const FlagRecord& r : det.take_flagged().records) {
+      got.push_back(r.account);
+      EXPECT_DOUBLE_EQ(r.flagged_at, t);
+      EXPECT_EQ(r.features.as_vector(), det.features(r.account).as_vector());
+      flagged[r.account] = true;
+    }
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << "event at t=" << t;
+  };
+
+  // Boundary senders, inside one hour and never accepted: account 1
+  // stops at min_requests - 1, account 2 at exactly min_requests.
+  const std::uint32_t min = cfg.rule.min_requests;
+  for (std::uint32_t k = 0; k < min; ++k) {
+    if (k + 1 < min) apply(osn::EventType::kRequestSent, 1, 10 + k);
+    apply(osn::EventType::kRequestSent, 2, 20 + k);
+    t += 0.01;
+  }
+  EXPECT_FALSE(flagged[1]);
+  EXPECT_TRUE(rule.is_sybil(det.features(1), min))
+      << "without the guard account 1 would flag: the guard must bite";
+  EXPECT_TRUE(flagged[2]);
+
+  // Random traffic: bursts of sends, accepts, rejects and seeded edges
+  // over a small population, so ratios and clustering move both ways.
+  std::mt19937_64 rng(1234);
+  const auto pick = [&](osn::NodeId lo) {
+    return static_cast<osn::NodeId>(
+        lo + rng() % static_cast<std::uint64_t>(kAccounts - lo));
+  };
+  for (int i = 0; i < 4000; ++i) {
+    const osn::NodeId a = pick(3);
+    osn::NodeId b = pick(3);
+    if (b == a) b = a + 1 < kAccounts ? a + 1 : 3;
+    const std::uint64_t roll = rng() % 100;
+    const osn::EventType type =
+        roll < 55   ? osn::EventType::kRequestSent
+        : roll < 75 ? osn::EventType::kRequestRejected
+        : roll < 92 ? osn::EventType::kRequestAccepted
+                    : osn::EventType::kFriendshipSeeded;
+    apply(type, a, b);
+    if (::testing::Test::HasFatalFailure()) return;
+    t += rng() % 4 == 0 ? 0.5 : 0.001;
+  }
+
+  std::vector<osn::NodeId> want;
+  for (osn::NodeId x = 0; x < kAccounts; ++x) {
+    if (!flagged[x] && rule.is_sybil(det.features(x), sent[x])) {
+      want.push_back(x);
+    }
+  }
+  EXPECT_EQ(det.sweep_flags(t), want.size());
+  std::vector<osn::NodeId> got;
+  for (const FlagRecord& r : det.take_flagged().records) {
+    got.push_back(r.account);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(std::find(got.begin(), got.end(), 1u) == got.end());
 }
 
 TEST(StreamDetector, BannedAccountsNeverFlagged) {

@@ -64,6 +64,23 @@ TEST(Threshold, MinRequestsGuard) {
   EXPECT_TRUE(det.is_sybil(sybil_like(), 10));
 }
 
+/// enough_requests() is is_sybil()'s first clause and nothing else: for
+/// features that cross every threshold, the verdict flips exactly where
+/// enough_requests() does, at min_requests.
+TEST(Threshold, EnoughRequestsIsTheMinRequestsClause) {
+  for (const std::uint32_t min_requests : {0u, 1u, 10u}) {
+    ThresholdRule rule;
+    rule.min_requests = min_requests;
+    const ThresholdDetector det(rule);
+    for (std::uint32_t sent = 0; sent <= 2 * min_requests + 2; ++sent) {
+      EXPECT_EQ(det.enough_requests(sent), sent >= min_requests) << sent;
+      EXPECT_EQ(det.is_sybil(sybil_like(), sent), det.enough_requests(sent))
+          << sent;
+      EXPECT_FALSE(det.is_sybil(normal_like(), sent)) << sent;
+    }
+  }
+}
+
 TEST(Threshold, CustomRule) {
   ThresholdRule rule;
   rule.invite_rate_min = 100.0;

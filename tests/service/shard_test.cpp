@@ -8,6 +8,11 @@
 //     double-counts an account;
 //   * the N-vs-1 equivalence: the merged N-shard FlagBatch is
 //     byte-identical to the 1-shard run, at SYBIL_THREADS=1 and 8;
+//   * owner-only state: at 2, 4 and 8 shards each account's features
+//     on its owner are bitwise those of the 1-shard run, non-owners
+//     keep a default record for it, and the shards' flagged totals sum
+//     to the merged batch; a checkpoint written while non-owners still
+//     replicated every account (tests/data) resumes to the same flags;
 //   * per-shard isolation: one overloaded shard sheds and degrades
 //     alone while its peers stay at full service;
 //   * per-shard recovery: kill shard 1 at EVERY durability boundary
@@ -25,6 +30,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <set>
@@ -32,10 +38,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/detector_state.h"
 #include "core/metrics/metrics.h"
 #include "core/parallel.h"
 #include "faults/process_faults.h"
+#include "io/container.h"
 #include "io/error.h"
+#include "service/checkpoint.h"
 #include "service/router.h"
 #include "service/wal.h"
 #include "service/workload.h"
@@ -314,6 +323,228 @@ TEST_F(Shard, MergedFlagsMatchSingleShardAcrossThreadCounts) {
   for (const auto& r : sharded.flags.records) {
     EXPECT_TRUE(accounts.insert(r.account).second)
         << "account " << r.account << " flagged on two shards";
+  }
+}
+
+/// Bitwise equality of two feature vectors (EXPECT_EQ on doubles would
+/// let -0.0 == 0.0 and would never match a NaN).
+bool features_bitwise_equal(const core::SybilFeatures& a,
+                            const core::SybilFeatures& b) {
+  const auto va = a.as_vector();
+  const auto vb = b.as_vector();
+  return va.size() == vb.size() &&
+         std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)) == 0;
+}
+
+/// Walks the account and watcher sections of a detector-state blob
+/// (docs/FORMATS.md, detector-state blob) and checks what a shard keeps
+/// for accounts it does not own: the default ledger, no first friends,
+/// no internal links, no flag; and that only owned accounts watch.
+void expect_owner_only_blob(const core::StreamDetector& d,
+                            std::uint32_t shard, std::uint32_t shards) {
+  const std::vector<std::byte> blob = core::serialize_stream_state(d);
+  io::ByteReader r(blob);
+  r.read<std::uint32_t>();  // version
+  const auto n = r.read<std::uint64_t>();
+  ASSERT_EQ(n, d.accounts_seen());
+  const osn::RequestLedger::Raw zero = osn::RequestLedger{}.raw();
+  for (std::uint64_t id = 0; id < n; ++id) {
+    osn::RequestLedger::Raw raw;
+    raw.sent = r.read<std::uint32_t>();
+    raw.sent_accepted = r.read<std::uint32_t>();
+    raw.received = r.read<std::uint32_t>();
+    raw.received_accepted = r.read<std::uint32_t>();
+    raw.current_bucket = r.read<std::int64_t>();
+    raw.current_bucket_count = r.read<std::uint32_t>();
+    raw.active_hours = r.read<std::uint32_t>();
+    raw.max_hourly = r.read<std::uint32_t>();
+    raw.first_send = r.read<graph::Time>();
+    raw.last_send = r.read<graph::Time>();
+    const auto friends = r.read<std::uint64_t>();
+    for (std::uint64_t f = 0; f < friends; ++f) r.read<std::uint32_t>();
+    const auto internal_links = r.read<std::uint32_t>();
+    const auto flagged = r.read<std::uint8_t>();
+    r.read<std::uint8_t>();  // banned: kept for every id
+    const auto account = static_cast<graph::NodeId>(id);
+    if (shard_of(account, shards) == shard) continue;
+    ASSERT_TRUE(raw.sent == zero.sent &&
+                raw.sent_accepted == zero.sent_accepted &&
+                raw.received == zero.received &&
+                raw.received_accepted == zero.received_accepted &&
+                raw.current_bucket == zero.current_bucket &&
+                raw.current_bucket_count == zero.current_bucket_count &&
+                raw.active_hours == zero.active_hours &&
+                raw.max_hourly == zero.max_hourly &&
+                raw.first_send == zero.first_send &&
+                raw.last_send == zero.last_send)
+        << "shard " << shard << "/" << shards << " holds a ledger for "
+        << account;
+    ASSERT_EQ(friends, 0u) << "shard " << shard << " account " << account;
+    ASSERT_EQ(internal_links, 0u) << "shard " << shard << " " << account;
+    ASSERT_EQ(flagged, 0u) << "shard " << shard << " flagged " << account;
+  }
+  std::uint64_t watch_entries = 0;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const auto watchers = r.read<std::uint64_t>();
+    for (std::uint64_t k = 0; k < watchers; ++k) {
+      const auto who = r.read<graph::NodeId>();
+      ASSERT_EQ(shard_of(who, shards), shard)
+          << "non-owned watcher " << who << " of " << v;
+      ++watch_entries;
+    }
+  }
+  EXPECT_GT(watch_entries, 0u) << "shard " << shard << " watches nobody";
+}
+
+/// Owner-only shard state: the owner of every account computes bitwise
+/// the 1-shard features (it receives every event that can change them),
+/// while non-owners keep only a default record for it. With every
+/// shard flagging only what it owns, the detectors' flagged totals sum
+/// exactly to the merged batch.
+TEST_F(Shard, OwnerFeaturesMatchSingleShardBitwise) {
+  WorkloadOptions w;
+  w.accounts = 600;
+  w.events = 4000;
+  w.hours = 10.0;
+  w.seed = 5;
+  w.burst_senders = 4;
+  w.burst_fraction = 0.25;
+  w.malformed_fraction = 0.02;
+  const std::vector<osn::Event> log = synthetic_workload(w);
+
+  core::set_thread_count(1);
+  ShardRouter single(make_router_options(fresh_dir("own_n1"), 1));
+  single.start();
+  drive(single, log, 0);
+  const ShardedRun single_run = capture(single, w.hours + 1.0);
+  const core::StreamDetector& one = single.shard(0).detector();
+  ASSERT_FALSE(single_run.flags.records.empty());
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    for (const std::uint32_t shards : {2u, 4u, 8u}) {
+      SCOPED_TRACE("SYBIL_THREADS=" + std::to_string(threads) + ", " +
+                   std::to_string(shards) + " shards");
+      core::set_thread_count(threads);
+      ShardRouter router(make_router_options(
+          fresh_dir("own_n" + std::to_string(shards) + "_t" +
+                    std::to_string(threads)),
+          shards));
+      router.start();
+      drive(router, log, 0);
+      const ShardedRun run = capture(router, w.hours + 1.0);
+      expect_flags_equal(run.flags, single_run.flags);
+
+      std::size_t flagged = 0;
+      for (std::uint32_t i = 0; i < shards; ++i) {
+        const core::StreamDetector& d = router.shard(i).detector();
+        ASSERT_EQ(d.accounts_seen(), one.accounts_seen());
+        flagged += d.flagged_total();
+        expect_owner_only_blob(d, i, shards);
+      }
+      EXPECT_EQ(flagged, run.flags.size());
+
+      for (graph::NodeId id = 0; id < one.accounts_seen(); ++id) {
+        const core::StreamDetector& owner =
+            router.shard(shard_of(id, shards)).detector();
+        ASSERT_TRUE(owner.owns(id));
+        ASSERT_TRUE(features_bitwise_equal(owner.features(id),
+                                           one.features(id)))
+            << "account " << id;
+      }
+    }
+  }
+  core::set_thread_count(0);
+}
+
+/// Options and stream of the golden pre-owner-only checkpoint: a 1 h
+/// reorder watermark, so half the stream is applied when shard 1 of 2
+/// checkpoints at seq 300 (the generator drove seqs 0..299 with a pump
+/// every 16 offers, then called shard(1).checkpoint_now()).
+ShardRouterOptions upgrade_router_options(const std::string& dir) {
+  ShardRouterOptions o = make_router_options(dir, 2);
+  o.shard.detector.ingest.watermark_hours = 1.0;
+  return o;
+}
+
+WorkloadOptions upgrade_workload() {
+  WorkloadOptions w;
+  w.accounts = 64;
+  w.events = 600;
+  w.hours = 12.0;
+  w.seed = 17;
+  w.burst_senders = 2;
+  w.burst_fraction = 0.3;
+  w.malformed_fraction = 0.02;
+  return w;
+}
+
+/// A state root whose shard 1 holds only the golden checkpoint.
+std::string root_with_golden_shard1(const std::string& name) {
+  const std::string golden =
+      std::string(SYBIL_TEST_DATA_DIR) +
+      "/service_ckpt_v4_shard1of2_replicated.sybs";
+  const ServiceCheckpointState state = load_service_checkpoint(golden);
+  EXPECT_EQ(state.shard_id, 1u);
+  EXPECT_EQ(state.shard_count, 2u);
+  const std::string dir = fresh_dir(name);
+  const std::string ckpt = dir + "/shard-0001/ckpt";
+  fs::create_directories(ckpt);
+  fs::copy_file(golden, checkpoint_path(ckpt, state.wal_position));
+  return dir;
+}
+
+/// Checkpoints written while every shard still replicated all accounts
+/// carry non-owned ledgers, friend lists and pending flags. Restored
+/// under owner-only state they must still resume exactly: the router
+/// re-drives the stream, shard 1 suppresses what it already holds, and
+/// the merge drops the stale non-owner flag.
+TEST_F(Shard, PreOwnerOnlyCheckpointResumesToTheSameFlags) {
+  const WorkloadOptions w = upgrade_workload();
+  const std::vector<osn::Event> log = synthetic_workload(w);
+
+  ShardRouter reference(upgrade_router_options(fresh_dir("upgrade_ref")));
+  reference.start();
+  drive(reference, log, 0);
+  const ShardedRun want = capture(reference, w.hours + 1.0);
+  ASSERT_FALSE(want.flags.records.empty());
+
+  {
+    // The golden really is pre-owner-only: shard 1 holds state and a
+    // pending flag for an account shard 0 owns, next to its own.
+    ShardRouter probe(
+        upgrade_router_options(root_with_golden_shard1("upgrade_probe")));
+    const RouterRecoveryReport report = probe.start();
+    ASSERT_FALSE(report.shards[1].cold_start);
+    const core::StreamDetector& d = probe.shard(1).detector();
+    bool foreign_state = false;
+    for (graph::NodeId id = 0; id < d.accounts_seen(); ++id) {
+      foreign_state = foreign_state ||
+                      (!d.owns(id) && d.features(id).invite_rate_short > 0);
+    }
+    EXPECT_TRUE(foreign_state);
+    std::set<std::uint32_t> flag_owners;
+    for (const auto& r : probe.shard(1).take_flagged().records) {
+      flag_owners.insert(shard_of(r.account, 2));
+    }
+    EXPECT_EQ(flag_owners, (std::set<std::uint32_t>{0, 1}));
+  }
+
+  ShardRouter resumed(
+      upgrade_router_options(root_with_golden_shard1("upgrade_resume")));
+  const RouterRecoveryReport report = resumed.start();
+  ASSERT_GT(report.shards[1].next_seq, 0u);
+  ASSERT_EQ(report.next_seq, 0u) << "shard 0 starts cold";
+  drive(resumed, log, report.next_seq);
+  const ShardedRun got = capture(resumed, w.hours + 1.0);
+
+  expect_flags_equal(got.flags, want.flags);
+  EXPECT_EQ(got.shard_stats[0], want.shard_stats[0]);
+  for (graph::NodeId id = 0; id < w.accounts; ++id) {
+    const std::uint32_t owner = shard_of(id, 2);
+    ASSERT_TRUE(features_bitwise_equal(
+        resumed.shard(owner).detector().features(id),
+        reference.shard(owner).detector().features(id)))
+        << "account " << id;
   }
 }
 
